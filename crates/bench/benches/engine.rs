@@ -82,57 +82,15 @@ struct BenchDoc {
     speedup_vs_seed: Option<f64>,
 }
 
-/// Schema v1 (one PR per document, no `pr` tags), read for migration only.
-#[derive(Debug, Deserialize)]
-struct BenchEntryV1 {
-    grid: String,
-    config: String,
-    wall_ms: f64,
-    ops_per_sec: f64,
-}
-
-/// Schema v1 document shape; see [`BenchEntryV1`].
-#[derive(Debug, Deserialize)]
-#[allow(dead_code)]
-struct BenchDocV1 {
-    schema_version: u32,
-    total_ops: u64,
-    entries: Vec<BenchEntryV1>,
-    speedup_macro_step: f64,
-    reference_seed_wall_ms: Option<f64>,
-    speedup_vs_seed: Option<f64>,
-}
-
-/// Loads previously committed entries (plus the seed reference), migrating a
-/// v1 document by tagging its entries with the PR that committed them.
+/// Loads previously committed entries (plus the seed reference).
 fn load_prior(path: &PathBuf) -> (Vec<BenchEntry>, Option<f64>) {
     let Ok(text) = std::fs::read_to_string(path) else {
         return (Vec::new(), None);
     };
-    if let Ok(doc) = serde_json::from_str::<BenchDoc>(&text) {
-        if doc.schema_version == 2 {
-            return (doc.entries, doc.reference_seed_wall_ms);
-        }
+    match serde_json::from_str::<BenchDoc>(&text) {
+        Ok(doc) if doc.schema_version == 2 => (doc.entries, doc.reference_seed_wall_ms),
+        _ => panic!("BENCH_engine.json exists but is not a schema v2 document"),
     }
-    if let Ok(doc) = serde_json::from_str::<BenchDocV1>(&text) {
-        let entries = doc
-            .entries
-            .into_iter()
-            .map(|e| BenchEntry {
-                pr: "macro-step-hot-loop".to_string(),
-                grid: e.grid,
-                config: e.config,
-                total_ops: doc.total_ops,
-                wall_ms: e.wall_ms,
-                ops_per_sec: e.ops_per_sec,
-                heap_max_len: None,
-                heap_redistributions: None,
-                heap_supersessions: None,
-            })
-            .collect();
-        return (entries, doc.reference_seed_wall_ms);
-    }
-    panic!("BENCH_engine.json exists but matches neither schema v1 nor v2");
 }
 
 /// The fig4 grid with the macro-step fast path force-disabled on every

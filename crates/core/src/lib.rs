@@ -51,6 +51,6 @@ pub use fleet::{FleetTopology, LoadBalancerPolicy};
 pub use machine::MispMachine;
 pub use overhead::OverheadModel;
 pub use platform::{MispPlatform, RingPolicy};
-pub use signal::{SignalFabric, SignalKind, SignalRecord};
+pub use signal::{SignalFabric, SignalKind};
 pub use topology::{MispProcessor, MispTopology};
 pub use yield_cond::{TriggerKind, TriggerResponseRegistry};

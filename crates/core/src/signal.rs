@@ -40,26 +40,12 @@ impl SignalKind {
     }
 }
 
-/// A record of one signal sent over the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SignalRecord {
-    /// The sending sequencer.
-    pub from: SequencerId,
-    /// The destination sequencer.
-    pub to: SequencerId,
-    /// The purpose of the signal.
-    pub kind: SignalKind,
-    /// When the signal was sent.
-    pub sent_at: Cycles,
-    /// When the signal arrives at the destination.
-    pub arrives_at: Cycles,
-}
-
 /// The signaling fabric of one MISP machine.
 ///
 /// The fabric charges the configured signal latency to every delivery and
-/// keeps per-kind counters (plus an optional bounded history) so experiments
-/// can verify how many signals each mechanism generated.
+/// keeps per-kind counters so experiments can verify how many signals each
+/// mechanism generated.  Individual signals appear in the engine's trace
+/// ring, not here.
 ///
 /// # Examples
 ///
@@ -80,35 +66,18 @@ pub struct SignalRecord {
 #[derive(Debug, Clone)]
 pub struct SignalFabric {
     costs: CostModel,
-    counts: [(SignalKind, u64); 5],
-    history: Vec<SignalRecord>,
-    keep_history: bool,
-    history_cap: usize,
+    /// Per-kind counts, indexed by [`SignalKind::counter_index`].
+    counts: [u64; 5],
 }
 
 impl SignalFabric {
-    /// Creates a fabric with the given cost model and history recording
-    /// disabled.
+    /// Creates a fabric with the given cost model.
     #[must_use]
     pub fn new(costs: CostModel) -> Self {
         SignalFabric {
             costs,
-            counts: [
-                (SignalKind::ShredStart, 0),
-                (SignalKind::Suspend, 0),
-                (SignalKind::Resume, 0),
-                (SignalKind::ProxyRequest, 0),
-                (SignalKind::ProxyComplete, 0),
-            ],
-            history: Vec::new(),
-            keep_history: false,
-            history_cap: 10_000,
+            counts: [0; 5],
         }
-    }
-
-    /// Enables recording of individual signal records (bounded).
-    pub fn enable_history(&mut self) {
-        self.keep_history = true;
     }
 
     /// The signal latency charged per delivery.
@@ -118,26 +87,17 @@ impl SignalFabric {
     }
 
     /// Sends a signal at `now`, returning its arrival time at the
-    /// destination.
+    /// destination.  Every delivery costs the same latency, so only the kind
+    /// is counted; the endpoints name the delivery at the call site.
     pub fn send(
         &mut self,
-        from: SequencerId,
-        to: SequencerId,
+        _from: SequencerId,
+        _to: SequencerId,
         kind: SignalKind,
         now: Cycles,
     ) -> Cycles {
-        let arrives_at = now + self.latency();
-        self.counts[kind.counter_index()].1 += 1;
-        if self.keep_history && self.history.len() < self.history_cap {
-            self.history.push(SignalRecord {
-                from,
-                to,
-                kind,
-                sent_at: now,
-                arrives_at,
-            });
-        }
-        arrives_at
+        self.counts[kind.counter_index()] += 1;
+        now + self.latency()
     }
 
     /// Broadcasts a signal from `from` to every sequencer in `targets`,
@@ -161,19 +121,13 @@ impl SignalFabric {
     /// Number of signals sent with the given kind.
     #[must_use]
     pub fn count(&self, kind: SignalKind) -> u64 {
-        self.counts[kind.counter_index()].1
+        self.counts[kind.counter_index()]
     }
 
     /// Total signals sent across all kinds.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.counts.iter().map(|(_, c)| *c).sum()
-    }
-
-    /// The recorded signal history (empty unless enabled).
-    #[must_use]
-    pub fn history(&self) -> &[SignalRecord] {
-        &self.history
+        self.counts.iter().sum()
     }
 }
 
@@ -226,31 +180,6 @@ mod tests {
         );
         assert_eq!(arrival, Cycles::new(5_010));
         assert_eq!(f.count(SignalKind::Resume), 0);
-    }
-
-    #[test]
-    fn history_is_opt_in_and_records_endpoints() {
-        let mut f = SignalFabric::new(CostModel::default());
-        f.send(
-            SequencerId::new(2),
-            SequencerId::new(0),
-            SignalKind::ProxyRequest,
-            Cycles::new(7),
-        );
-        assert!(f.history().is_empty());
-        f.enable_history();
-        f.send(
-            SequencerId::new(2),
-            SequencerId::new(0),
-            SignalKind::ProxyRequest,
-            Cycles::new(9),
-        );
-        assert_eq!(f.history().len(), 1);
-        let r = f.history()[0];
-        assert_eq!(r.from, SequencerId::new(2));
-        assert_eq!(r.to, SequencerId::new(0));
-        assert_eq!(r.sent_at, Cycles::new(9));
-        assert_eq!(r.arrives_at, Cycles::new(5_009));
     }
 
     #[test]

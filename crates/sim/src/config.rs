@@ -24,8 +24,6 @@ pub struct SimConfig {
     /// Hard limit on simulated time; exceeding it aborts the run with
     /// [`misp_types::MispError::CycleBudgetExhausted`].
     pub cycle_budget: Cycles,
-    /// Whether to retain fine-grained event-log records.
-    pub fine_log: bool,
     /// Enable the macro-step fast path: the engine executes an uninterrupted
     /// run of local operations inline, advancing per-operation time, instead
     /// of round-tripping through the event queue after every operation.
@@ -36,7 +34,7 @@ pub struct SimConfig {
     pub batch: bool,
     /// Observability configuration: the structured trace ring and the
     /// interval metrics sampler.  Fully off by default; when off the engine
-    /// performs no tracing work beyond a single branch per coarse-log record
+    /// performs no tracing work beyond a single branch per recorded event
     /// and results are byte-identical to a build without the trace layer.
     pub trace: TraceConfig,
 }
@@ -83,7 +81,6 @@ impl Default for SimConfig {
             cache: CacheConfig::disabled(),
             access_cost: Cycles::new(2),
             cycle_budget: Cycles::new(50_000_000_000),
-            fine_log: false,
             batch: true,
             trace: TraceConfig::default(),
         }
@@ -101,7 +98,6 @@ mod tests {
         assert!(c.tlb_capacity > 0);
         assert!(!c.access_cost.is_zero());
         assert!(c.cycle_budget > Cycles::new(1_000_000));
-        assert!(!c.fine_log);
         assert!(!c.cache.enabled, "the cache model is opt-in");
     }
 

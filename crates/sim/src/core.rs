@@ -2,12 +2,12 @@
 //! runtimes.
 
 use crate::{
-    Event, EventLog, EventQueue, LogKind, SequencerTable, ShredExecState, ShredPool, SimConfig,
-    SimStats,
+    Event, EventLog, EventQueue, SequencerTable, ShredExecState, ShredPool, SimConfig, SimStats,
 };
 use misp_isa::{ProgramLibrary, ProgramRef};
 use misp_mem::MemorySystem;
 use misp_os::Kernel;
+use misp_trace::TraceKind;
 use misp_types::{CostModel, Cycles, OsThreadId, ProcessId, SequencerId, ShredId};
 use std::sync::Arc;
 
@@ -45,8 +45,7 @@ impl EngineCore {
     /// Creates the core for a machine with `sequencer_count` sequencers.
     #[must_use]
     pub fn new(config: SimConfig, sequencer_count: usize, library: ProgramLibrary) -> Self {
-        let mut log = EventLog::new(config.fine_log);
-        log.set_cap(EventLog::DEFAULT_CAP);
+        let mut log = EventLog::default();
         if config.trace.enabled {
             // The whole ring is allocated here, before the run starts, so an
             // enabled trace preserves the zero-alloc steady state.
@@ -171,18 +170,10 @@ impl EngineCore {
         &self.log
     }
 
-    /// Records an event in the log.
-    pub fn log_event(&mut self, seq: SequencerId, kind: LogKind, detail: impl Into<String>) {
+    /// Records an event in the log at the current simulation time.
+    pub fn log_event(&mut self, seq: SequencerId, kind: TraceKind) {
         let now = self.now;
-        self.log.record(now, seq, kind, detail);
-    }
-
-    /// Records an event in the log, building the detail text lazily (only
-    /// when fine-grained logging will retain it).  Prefer this on hot paths
-    /// whose detail requires formatting.
-    pub fn log_event_with<F: FnOnce() -> String>(&mut self, seq: SequencerId, kind: LogKind, f: F) {
-        let now = self.now;
-        self.log.record_with(now, seq, kind, f);
+        self.log.record(now, seq, kind);
     }
 
     /// The program referenced by `r`, if it exists in the library.
@@ -221,9 +212,7 @@ impl EngineCore {
         );
         let id = self.shreds.create(process, thread, prog, now);
         self.log
-            .record_with(now, SequencerId::new(0), LogKind::ShredStart, || {
-                format!("created {id}")
-            });
+            .record(now, SequencerId::new(0), TraceKind::ShredStart);
         id
     }
 
@@ -257,13 +246,6 @@ impl EngineCore {
     /// counter like every other event.
     pub(crate) fn schedule_sample(&mut self, at: Cycles) {
         self.queue.push(at, Event::Sample);
-    }
-
-    /// Records a trace-only instant (TLB/cache miss) at the current
-    /// simulation time.  A no-op while tracing is off.
-    pub(crate) fn trace_instant(&mut self, seq: SequencerId, kind: misp_trace::TraceKind) {
-        let now = self.now;
-        self.log.trace_instant(now, seq, kind);
     }
 
     /// Removes and returns the trace ring for end-of-run reporting.
@@ -333,7 +315,7 @@ impl EngineCore {
     pub fn suspend(&mut self, seq: SequencerId, now: Cycles) {
         if !self.sequencers.is_suspended(seq) {
             self.sequencers.suspend(seq, now);
-            self.log.record(now, seq, LogKind::Suspend, "");
+            self.log.record(now, seq, TraceKind::Suspend);
         }
         self.sequencers.set_stall_end(seq, None);
     }
@@ -343,7 +325,7 @@ impl EngineCore {
     pub fn resume(&mut self, seq: SequencerId, at: Cycles) {
         if let Some(remaining) = self.sequencers.clear_suspension(seq) {
             let resume_at = at + remaining;
-            self.log.record(at, seq, LogKind::Resume, "");
+            self.log.record(at, seq, TraceKind::Resume);
             self.schedule_ready(seq, resume_at);
         }
     }
@@ -389,7 +371,7 @@ impl EngineCore {
                     .clear_suspension(seq)
                     .expect("just suspended");
                 debug_assert_eq!(captured, rem);
-                self.log.record(until, seq, LogKind::Resume, "");
+                self.log.record(until, seq, TraceKind::Resume);
                 self.schedule_ready(seq, until + captured);
                 return;
             }
@@ -412,7 +394,7 @@ impl EngineCore {
         let lost = until - now;
         self.sequencers.add_stalled(seq, lost);
         self.stats.suspension_cycles += lost;
-        self.log.record(now, seq, LogKind::Suspend, "timed stall");
+        self.log.record(now, seq, TraceKind::Suspend);
     }
 
     /// Merges a stall request into an already-suspended sequencer's state:
@@ -725,8 +707,8 @@ mod tests {
         // 90 (window end) + 60 (remaining work) — exactly where the queued
         // path's StallEnd-then-resume would land.
         assert_eq!(core.sequencers().pending_at(seq), Some(Cycles::new(150)));
-        assert_eq!(core.log().count(LogKind::Suspend), 1);
-        assert_eq!(core.log().count(LogKind::Resume), 1);
+        assert_eq!(core.log().count(TraceKind::Suspend), 1);
+        assert_eq!(core.log().count(TraceKind::Resume), 1);
         // Only the rescheduled SeqReady is queued; no StallEnd round trip.
         let only = core.pop_event().unwrap();
         assert_eq!(only.time, Cycles::new(150));
@@ -775,7 +757,7 @@ mod tests {
     fn log_event_records_with_current_time() {
         let mut core = core_with(1, 1);
         core.set_now(Cycles::new(77));
-        core.log_event(SequencerId::new(0), LogKind::RingEnter, "syscall");
-        assert_eq!(core.log().count(LogKind::RingEnter), 1);
+        core.log_event(SequencerId::new(0), TraceKind::RingEnter);
+        assert_eq!(core.log().count(TraceKind::RingEnter), 1);
     }
 }

@@ -70,7 +70,7 @@ pub use engine::Engine;
 pub use event::{Event, EventQueue, ScheduledEvent};
 pub use fleet::{FleetEngine, FleetMessage, FleetReport, Mailbox};
 pub use local::LocalPlatform;
-pub use log::{EventLog, LogKind, LogRecord};
+pub use log::EventLog;
 pub use machine::{Machine, MachineStatus, SimReport};
 pub use platform::Platform;
 pub use runtime::{Runtime, RuntimeOutcome, SingleShredRuntime};

@@ -5,7 +5,7 @@
 //! node without multi-programming and is used by unit tests, examples and as a
 //! baseline inside the full SMP machine in `misp-smp`.
 
-use crate::{EngineCore, LogKind, Platform};
+use crate::{EngineCore, Platform, TraceKind};
 use misp_os::OsEventKind;
 use misp_types::{Cycles, OsThreadId, SequencerId};
 
@@ -89,14 +89,14 @@ impl Platform for LocalPlatform {
     ) -> Cycles {
         core.stats_mut().record_event(seq, kind, true);
         core.kernel_mut().record_event(kind);
-        core.log_event_with(seq, LogKind::RingEnter, || kind.to_string());
+        core.log_event(seq, TraceKind::RingEnter);
         let service = core.kernel().service_cost(kind);
-        core.log_event_with(seq, LogKind::RingExit, || kind.to_string());
+        core.log_event(seq, TraceKind::RingExit);
         now + service
     }
 
     fn on_timer_tick(&mut self, core: &mut EngineCore, cpu: SequencerId, tick: u64, now: Cycles) {
-        core.log_event_with(cpu, LogKind::TimerTick, || format!("tick {tick}"));
+        core.log_event(cpu, TraceKind::TimerTick);
         core.stats_mut().record_event(cpu, OsEventKind::Timer, true);
         core.kernel_mut().record_event(OsEventKind::Timer);
         let mut service = core.kernel().service_cost(OsEventKind::Timer);

@@ -20,7 +20,9 @@
 //! one.
 
 use crate::core::EngineCore;
-use crate::{Event, LogKind, Platform, Runtime, RuntimeOutcome, ShredStatus, SimConfig, SimStats};
+use crate::{
+    Event, Platform, Runtime, RuntimeOutcome, ShredStatus, SimConfig, SimStats, TraceKind,
+};
 use misp_isa::{Op, ProgramLibrary};
 use misp_os::OsEventKind;
 use misp_trace::{CounterSnapshot, MetricsRecorder, MetricsReport, QueueProfile, TraceReport};
@@ -585,9 +587,7 @@ impl<P: Platform> Machine<P> {
                     if let Some(s) = self.core.shred_mut(shred) {
                         s.set_status(ShredStatus::Running);
                     }
-                    self.core
-                        // lint: alloc-ok(lazy trace closure; runs only when tracing is on)
-                        .log_event_with(seq, LogKind::ShredStart, || format!("{shred} installed"));
+                    self.core.log_event(seq, TraceKind::ShredStart);
                     install_cost = shred_context_switch;
                 }
                 None => return Ok(false), // stays idle; a wake will retry
@@ -638,12 +638,11 @@ impl<P: Platform> Machine<P> {
                         // path (set_now runs before each inline iteration),
                         // so the timestamps are batch-mode invariant.
                         if !outcome.tlb_hit {
-                            self.core.trace_instant(seq, misp_trace::TraceKind::TlbMiss);
+                            self.core.log_event(seq, TraceKind::TlbMiss);
                         }
                         if matches!(&outcome.cache, Some(c) if c.level == misp_cache::HitLevel::Memory)
                         {
-                            self.core
-                                .trace_instant(seq, misp_trace::TraceKind::CacheMiss);
+                            self.core.log_event(seq, TraceKind::CacheMiss);
                         }
                     }
                     // The cache model *refines* the flat access cost into
@@ -682,9 +681,7 @@ impl<P: Platform> Machine<P> {
                     continuation,
                 } => {
                     self.core.stats_mut().signals_sent += 1;
-                    self.core
-                        // lint: alloc-ok(lazy trace closure; runs only when tracing is on)
-                        .log_event_with(seq, LogKind::SignalSent, || format!("to {target}"));
+                    self.core.log_event(seq, TraceKind::SignalSent);
                     let resume =
                         self.platform
                             .on_signal(&mut self.core, seq, target, &continuation, now);
@@ -738,10 +735,7 @@ impl<P: Platform> Machine<P> {
                             if let Some(s) = self.core.shred_mut(shred_id) {
                                 s.finish(now);
                             }
-                            self.core.log_event_with(seq, LogKind::ShredEnd, || {
-                                // lint: alloc-ok(lazy trace closure; runs only when tracing is on)
-                                format!("{shred_id} exited")
-                            });
+                            self.core.log_event(seq, TraceKind::ShredEnd);
                             self.core.sequencers_mut().set_current_shred(seq, None);
                             self.core.schedule_ready(
                                 seq,
@@ -760,9 +754,7 @@ impl<P: Platform> Machine<P> {
                     if let Some(s) = self.core.shred_mut(shred_id) {
                         s.finish(now);
                     }
-                    self.core
-                        // lint: alloc-ok(lazy trace closure; runs only when tracing is on)
-                        .log_event_with(seq, LogKind::ShredEnd, || format!("{shred_id} halted"));
+                    self.core.log_event(seq, TraceKind::ShredEnd);
                     self.core.sequencers_mut().set_current_shred(seq, None);
                     self.core.schedule_ready(seq, now + shred_context_switch);
                     return Ok(true);

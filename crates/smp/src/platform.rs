@@ -1,7 +1,7 @@
 //! The SMP platform implementation.
 
 use misp_os::{OsEventKind, PlacementPolicy, SystemScheduler};
-use misp_sim::{EngineCore, LogKind, Platform};
+use misp_sim::{EngineCore, Platform, TraceKind};
 use misp_types::{Cycles, FxHashMap, OsThreadId, SequencerId};
 
 /// A symmetric multiprocessor: every sequencer is an OS-visible core that
@@ -139,20 +139,20 @@ impl Platform for SmpPlatform {
         // Every core handles its own faults; no other core is affected.
         core.stats_mut().record_event(seq, kind, true);
         core.kernel_mut().record_event(kind);
-        core.log_event_with(seq, LogKind::RingEnter, || kind.to_string());
+        core.log_event(seq, TraceKind::RingEnter);
         // Privileged code displaces the servicing core's L1, exactly as the
         // MISP platform charges its OMS per privileged service — keeping
         // cache-enabled cross-machine comparisons unbiased.  (No-op while
         // the cache model is disabled.)
         core.memory_mut().flush_cache(seq);
         let service = core.kernel().service_cost(kind);
-        core.log_event_with(seq, LogKind::RingExit, || kind.to_string());
+        core.log_event(seq, TraceKind::RingExit);
         now + service
     }
 
     fn on_timer_tick(&mut self, core: &mut EngineCore, cpu: SequencerId, tick: u64, now: Cycles) {
         let core_idx = cpu.as_usize();
-        core.log_event_with(cpu, LogKind::TimerTick, || format!("tick {tick}"));
+        core.log_event(cpu, TraceKind::TimerTick);
         core.stats_mut().record_event(cpu, OsEventKind::Timer, true);
         core.kernel_mut().record_event(OsEventKind::Timer);
         let mut priv_time = core.kernel().service_cost(OsEventKind::Timer);
@@ -173,7 +173,7 @@ impl Platform for SmpPlatform {
         if let Some((prev, next)) = switch {
             priv_time += core.kernel().context_switch_cost(0);
             core.stats_mut().context_switches += 1;
-            core.log_event_with(cpu, LogKind::ContextSwitch, || format!("{prev} -> {next}"));
+            core.log_event(cpu, TraceKind::ContextSwitch);
             let ctx = core.save_context(cpu, now);
             // Cold-cache restart for the incoming thread (no-op while the
             // cache model is disabled).

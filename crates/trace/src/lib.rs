@@ -90,12 +90,13 @@ impl TraceConfig {
 
 /// Kind of a structured trace event.
 ///
-/// The first twelve variants mirror `misp_sim::LogKind` in its canonical
-/// order, so every existing coarse-log emission site feeds the trace ring
-/// with no extra bookkeeping.  [`TraceKind::TlbMiss`] and
+/// This is the simulator's only event-kind enum: every engine and platform
+/// emission site passes one to `misp_sim::EventLog`, which counts it and,
+/// while tracing, rings it.  The first twelve variants are the firmware
+/// event kinds folded into `log_digest`.  [`TraceKind::TlbMiss`] and
 /// [`TraceKind::CacheMiss`] are trace-only instants emitted from the memory
-/// path; they are deliberately *not* coarse-log kinds so the event-log counts
-/// and `log_digest` goldens are untouched by tracing.
+/// path only while tracing; they stay out of `log_digest`, so the goldens
+/// are untouched by tracing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceKind {
     /// A sequencer entered Ring 0 (privileged execution window opens).

@@ -9,9 +9,9 @@
 /// Streaming 64-bit FNV-1a hasher.
 ///
 /// Feed it words with [`Fnv64::write_u64`] and read the digest with
-/// [`Fnv64::finish`].  The same constants are used by
-/// `misp_sim::EventLog::digest`, so digests from different layers are
-/// directly comparable in spirit (though they hash different record shapes).
+/// [`Fnv64::finish`].  It is the workspace's one FNV implementation: the
+/// event-log, trace, metrics and fleet digests all fold through it (each
+/// over its own record shape).
 ///
 /// # Examples
 ///

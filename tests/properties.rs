@@ -149,31 +149,34 @@ proptest! {
     }
 
     /// Macro-stepping is byte-identical on arbitrary workload shapes too —
-    /// including with fine-grained logging enabled, where the digest covers
-    /// every individual record and its timestamp.
+    /// including with the trace ring enabled, whose digest covers every
+    /// individual event (TLB and cache misses too) and its timestamp.
     #[test]
     fn macro_stepping_is_byte_identical_on_random_workloads(
         input in (arbitrary_params(), any::<bool>())
     ) {
-        let (params, fine_log) = input;
+        let (params, traced) = input;
         let w = Workload::new("prop", Suite::Rms, params);
         let topo = MispTopology::uniprocessor(3).unwrap();
-        let base = SimConfig { fine_log, ..quick_config() };
+        let mut base = quick_config();
+        base.trace.enabled = traced;
         let batched = SimConfig { batch: true, ..base };
         let reference = SimConfig { batch: false, ..base };
 
-        let on = run4(&w, Machine::Misp(topo.clone()), batched);
-        let off = run4(&w, Machine::Misp(topo.clone()), reference);
-        prop_assert_eq!(on.total_cycles, off.total_cycles);
-        prop_assert_eq!(&on.completions, &off.completions);
-        prop_assert_eq!(&on.stats, &off.stats);
-        prop_assert_eq!(on.log_digest, off.log_digest);
-
-        let on = run4(&w, Machine::Serial, batched);
-        let off = run4(&w, Machine::Serial, reference);
-        prop_assert_eq!(on.total_cycles, off.total_cycles);
-        prop_assert_eq!(&on.stats, &off.stats);
-        prop_assert_eq!(on.log_digest, off.log_digest);
+        for machine in [Machine::Misp(topo), Machine::Serial] {
+            let on = run4(&w, machine.clone(), batched);
+            let off = run4(&w, machine, reference);
+            prop_assert_eq!(on.total_cycles, off.total_cycles);
+            prop_assert_eq!(&on.completions, &off.completions);
+            prop_assert_eq!(&on.stats, &off.stats);
+            prop_assert_eq!(on.log_digest, off.log_digest);
+            prop_assert_eq!(on.trace.is_some(), traced);
+            if let (Some(on), Some(off)) = (&on.trace, &off.trace) {
+                prop_assert_eq!(on.digest, off.digest);
+                prop_assert_eq!(on.events.len(), off.events.len());
+                prop_assert_eq!(on.dropped, off.dropped);
+            }
+        }
     }
 
     /// The total number of page faults equals the number of distinct pages

@@ -9,6 +9,10 @@
 //! (hundreds of thousands).  A small fixed tolerance covers amortized
 //! container growth (a retained buffer doubling once more in the longer run
 //! is O(log n) events per run, not O(ops)).
+//!
+//! Allocations are counted per thread, and each audit reads the count of the
+//! thread it runs on, so audits that the test harness runs in parallel never
+//! see each other's allocations.
 
 use misp::core::{MispMachine, MispTopology};
 use misp::isa::ProgramLibrary;
@@ -17,25 +21,43 @@ use misp::sim::{Event, FleetEngine, Mailbox, SimConfig, TraceConfig};
 use misp::types::{Cycles, MachineId};
 use misp::workloads::{LocalityProfile, Suite, Workload, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized, so the first touch on a thread neither allocates
+    // nor registers a destructor — safe to use from inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Bumps the calling thread's count.  `try_with` never allocates and is a
+/// no-op while the thread's locals are being torn down.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far on the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards the caller's arguments to `System` unchanged
+// after bumping a thread-local counter that neither allocates nor panics, so
+// `GlobalAlloc`'s contract is exactly `System`'s own.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -81,9 +103,9 @@ fn measured_run_with_trace(chunks: u64, trace: TraceConfig) -> (u64, u64) {
     let mut machine = MispMachine::new(topo, config, library);
     machine.add_process(workload.name(), Box::new(scheduler), Some(0));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let report = machine.run().unwrap();
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let during = allocations() - before;
     let ops = report.stats.per_sequencer.iter().map(|s| s.ops).sum();
     (during, ops)
 }
@@ -137,9 +159,9 @@ fn measured_fleet_run(chunks: u64) -> (u64, u64) {
         fleet.add_machine(machine.into_sim_machine());
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let report = fleet.run_fleet().unwrap();
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let during = allocations() - before;
     let ops = report
         .reports
         .iter()
@@ -190,7 +212,7 @@ fn mailbox_posting_and_draining_do_not_allocate_within_capacity() {
     );
     mailbox.take_due(MachineId::new(1), None, &mut buffer);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for round in 0..8u64 {
         for i in 0..200u64 {
             mailbox.post(
@@ -204,7 +226,7 @@ fn mailbox_posting_and_draining_do_not_allocate_within_capacity() {
             mailbox.take_due(MachineId::new(machine), None, &mut buffer);
         }
     }
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let during = allocations() - before;
     assert!(mailbox.is_empty());
     assert_eq!(
         during, 0,
