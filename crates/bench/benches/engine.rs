@@ -1,10 +1,9 @@
 //! Engine wall-clock trajectory bench: times the full `fig4` sweep on one
 //! thread with the macro-step fast path enabled (the default) and with it
 //! force-disabled (the event-per-operation reference loop), plus the
-//! `fleet_service` sweep (the conservatively-synchronized multi-machine
-//! path), and *appends* the measurements to `BENCH_engine.json` at the
-//! repository root so the repo carries a machine-readable perf trajectory
-//! from PR to PR.
+//! `fleet_service` sweep (the multi-machine path), and *appends* the
+//! measurements to `BENCH_engine.json` at the repository root so the repo
+//! carries a machine-readable perf trajectory from PR to PR.
 //!
 //! Regenerate with:
 //!

@@ -4,10 +4,9 @@
 //! [`MispTopology`](crate::MispTopology) describes the sequencers *inside*
 //! one machine; [`FleetTopology`] describes the machines themselves — the
 //! shape a warehouse-scale service simulation runs on.  Each machine of a
-//! fleet carries an identical intra-machine topology, requests reach
-//! machines through a seeded load balancer, and cross-machine deliveries pay
-//! a fixed network latency that doubles as the conservative synchronizer's
-//! lookahead.
+//! fleet carries an identical intra-machine topology, and requests reach
+//! machines through a seeded load balancer after a fixed network latency
+//! (the dispatch hop).
 
 use misp_types::{Cycles, MispError, Result};
 use serde::{Deserialize, Serialize};
@@ -82,8 +81,7 @@ impl FleetTopology {
     /// # Errors
     ///
     /// [`MispError::InvalidConfiguration`] if `machines` is zero or the
-    /// latency is zero (the conservative synchronizer needs positive
-    /// lookahead).
+    /// latency is zero (a dispatch hop takes at least one cycle).
     pub fn with_network_latency(
         machines: usize,
         policy: LoadBalancerPolicy,
@@ -112,8 +110,8 @@ impl FleetTopology {
         self.machines
     }
 
-    /// Fixed cross-machine delivery latency (also the synchronizer's
-    /// lookahead).
+    /// Fixed dispatch latency from the load balancer to a machine, added to
+    /// every request's arrival.
     #[must_use]
     pub fn network_latency(&self) -> Cycles {
         self.network_latency

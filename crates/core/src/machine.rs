@@ -2,13 +2,13 @@
 
 use crate::{MispPlatform, MispTopology};
 use misp_isa::ProgramLibrary;
-use misp_sim::{Engine, Runtime, SimConfig, SimReport};
+use misp_sim::{Machine, Runtime, SimConfig, SimReport};
 use misp_types::{OsThreadId, ProcessId, Result};
 
 /// A fully-assembled MISP machine: topology, engine, OS processes and
 /// runtimes.
 ///
-/// `MispMachine` wraps [`Engine<MispPlatform>`] with the bookkeeping every
+/// `MispMachine` wraps a [`Machine<MispPlatform>`] with the bookkeeping every
 /// experiment needs: spawning processes and threads, registering address
 /// spaces, attaching runtimes and placing threads on MISP processors.
 ///
@@ -31,7 +31,7 @@ use misp_types::{OsThreadId, ProcessId, Result};
 /// ```
 #[derive(Debug)]
 pub struct MispMachine {
-    engine: Engine<MispPlatform>,
+    engine: Machine<MispPlatform>,
 }
 
 impl MispMachine {
@@ -42,7 +42,7 @@ impl MispMachine {
         let sequencers = topology.total_sequencers();
         let platform = MispPlatform::new(topology);
         MispMachine {
-            engine: Engine::new(config, sequencers, library, platform),
+            engine: Machine::new(config, sequencers, library, platform),
         }
     }
 
@@ -81,35 +81,35 @@ impl MispMachine {
     }
 
     /// Restricts the completion criterion to the given processes (see
-    /// [`Engine::set_measured`]).
+    /// [`Machine::set_measured`]).
     pub fn set_measured(&mut self, processes: Vec<ProcessId>) {
         self.engine.set_measured(processes);
     }
 
-    /// The underlying engine.
+    /// The underlying simulated machine.
     #[must_use]
-    pub fn engine(&self) -> &Engine<MispPlatform> {
+    pub fn engine(&self) -> &Machine<MispPlatform> {
         &self.engine
     }
 
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine<MispPlatform> {
+    /// Mutable access to the underlying simulated machine.
+    pub fn engine_mut(&mut self) -> &mut Machine<MispPlatform> {
         &mut self.engine
     }
 
-    /// Surrenders the assembled machine so it can join a multi-machine
+    /// Surrenders the assembled machine so it can join a
     /// [`misp_sim::FleetEngine`].
     #[must_use]
-    pub fn into_sim_machine(self) -> misp_sim::Machine<MispPlatform> {
-        self.engine.into_machine()
+    pub fn into_sim_machine(self) -> Machine<MispPlatform> {
+        self.engine
     }
 
     /// Runs the simulation to completion.
     ///
     /// # Errors
     ///
-    /// Propagates the engine's errors (cycle-budget exhaustion, deadlock,
-    /// missing runtime).
+    /// Propagates the errors of [`Machine::run`] (cycle-budget exhaustion,
+    /// deadlock, missing runtime).
     pub fn run(&mut self) -> Result<SimReport> {
         self.engine.run()
     }

@@ -158,7 +158,7 @@ fn fleet_sim_metrics(report: &FleetReport) -> SimMetrics {
     a
 }
 
-/// Executes a fleet scenario grid point: one co-simulated machine per fleet
+/// Executes a fleet scenario grid point: one independent machine per fleet
 /// slot, the aggregate `sim` section, the per-machine `fleet` section, and
 /// merged observability artifacts (fleet traces keep one track per
 /// machine×sequencer pair; interval samples concatenate in machine order).

@@ -278,8 +278,8 @@ pub struct SimSpec {
     /// default) disables the sampler.
     pub metrics_interval: u64,
     /// Fleet shape for scenario runs: the request stream is balanced across
-    /// this many machines and the fleet is co-simulated under the
-    /// conservative synchronizer.  `None` (the default) runs one machine.
+    /// this many machines, each simulated independently.  `None` (the
+    /// default) runs one machine.
     pub fleet: Option<FleetSpec>,
 }
 

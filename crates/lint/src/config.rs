@@ -109,7 +109,6 @@ impl Default for LintConfig {
                 "OsThreadId",
                 "ShredId",
                 "ProcessId",
-                "MachineId",
                 "LockId",
             ]
             .iter()

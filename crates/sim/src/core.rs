@@ -54,7 +54,7 @@ impl EngineCore {
         // The cache hierarchy is deliberately NOT built here: its clustering
         // (which sequencers share an L2) is the platform's knowledge, so
         // every platform's `init` must call `MemorySystem::configure_caches`
-        // — `Engine::run` asserts it happened when the config enables the
+        // — `Machine::start` asserts it happened when the config enables the
         // cache model.
         EngineCore {
             config,
@@ -273,18 +273,6 @@ impl EngineCore {
     /// Schedules a timer tick for the OS-visible CPU `cpu` at `at`.
     pub fn schedule_timer(&mut self, cpu: SequencerId, at: Cycles, tick: u64) {
         self.queue.push(at, Event::TimerTick { cpu, tick });
-    }
-
-    /// Injects an externally-produced event (a cross-machine mailbox
-    /// delivery) into the queue at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` lies before an already-popped event time: external
-    /// deliveries must respect the shard's monotone clock, which the fleet's
-    /// conservative synchronizer guarantees.
-    pub fn post_event(&mut self, at: Cycles, event: Event) {
-        self.queue.push(at, event);
     }
 
     /// Wakes `seq` at time `now` if it is idle (no shred installed, not

@@ -15,6 +15,11 @@
 //!   (mutexes, barriers, shred creation, …).  The ShredLib gang scheduler in
 //!   the `shredlib` crate is the principal implementation.
 //!
+//! A [`Machine`] is one simulated box, and [`Machine::run`] is its whole
+//! event loop: pop the earliest event, execute it, repeat until every
+//! measured process has completed.  A [`FleetEngine`] runs several machines
+//! independently and folds their reports into a [`FleetReport`].
+//!
 //! The engine is strictly deterministic: given the same configuration,
 //! workload and platform, two runs produce identical cycle counts, statistics
 //! and event logs.
@@ -27,7 +32,7 @@
 //!
 //! ```
 //! use misp_isa::{ProgramBuilder, ProgramLibrary};
-//! use misp_sim::{Engine, LocalPlatform, SimConfig, SingleShredRuntime};
+//! use misp_sim::{LocalPlatform, Machine, SimConfig, SingleShredRuntime};
 //! use misp_types::Cycles;
 //!
 //! let mut library = ProgramLibrary::new();
@@ -36,7 +41,7 @@
 //! );
 //!
 //! let config = SimConfig::default();
-//! let mut engine = Engine::new(config, 1, library, LocalPlatform::new(1));
+//! let mut engine = Machine::new(config, 1, library, LocalPlatform::new(1));
 //! let pid = engine.core_mut().kernel_mut().spawn_process("demo");
 //! let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
 //! engine.core_mut().memory_mut().register_process(pid);
@@ -52,7 +57,6 @@
 
 mod config;
 mod core;
-mod engine;
 mod event;
 mod fleet;
 mod local;
@@ -66,9 +70,8 @@ mod stats;
 
 pub use config::SimConfig;
 pub use core::{EngineCore, SavedContext};
-pub use engine::Engine;
 pub use event::{Event, EventQueue, ScheduledEvent};
-pub use fleet::{FleetEngine, FleetMessage, FleetReport, Mailbox};
+pub use fleet::{FleetEngine, FleetReport};
 pub use local::LocalPlatform;
 pub use log::EventLog;
 pub use machine::{Machine, MachineStatus, SimReport};

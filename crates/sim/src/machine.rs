@@ -1,23 +1,20 @@
-//! One machine of a simulated fleet: the per-shard simulation state and its
-//! event loop.
+//! One simulated machine: its simulation state and its event loop.
 //!
-//! A [`Machine`] owns everything the pre-fleet engine owned — the clock and
-//! radix-heap event-queue shard, the sequencer table, memory system, kernel
-//! and trace ring (all inside [`EngineCore`]), plus the [`Platform`] and the
-//! per-process [`Runtime`]s.  The run loop is split in three so a fleet
-//! synchronizer can interleave shards:
+//! A [`Machine`] owns the clock and radix-heap event queue, the sequencer
+//! table, memory system, kernel and trace ring (all inside [`EngineCore`]),
+//! plus the [`Platform`] and the per-process [`Runtime`]s.  [`Machine::run`]
+//! is the whole simulation: pop the earliest event, execute it, repeat until
+//! every measured process has completed.  It is built from three steps that
+//! stay public so callers can time or slice a run:
 //!
 //! * [`Machine::start`] — validation, platform init, thread startup and the
 //!   loop-invariant step parameters.
 //! * [`Machine::advance`] — processes queued events strictly *before* an
-//!   optional horizon (the conservative-synchronization window), returning
-//!   whether the machine finished, paused at the horizon, or drained its
-//!   queue.
+//!   optional horizon, returning whether the machine finished, paused at the
+//!   horizon, or drained its queue.
 //! * [`Machine::finish_report`] — folds the statistics into a [`SimReport`].
 //!
-//! Calling `start` followed by `advance(None)` is exactly the historical
-//! single-machine run loop; [`crate::Engine`] packages that as a fleet of
-//! one.
+//! Every machine of a [`crate::FleetEngine`] runs this same loop on its own.
 
 use crate::core::EngineCore;
 use crate::{
@@ -92,13 +89,12 @@ pub enum MachineStatus {
     /// The next queued event lies at or beyond the advance horizon; the
     /// machine paused with work pending.
     Paused,
-    /// The event-queue shard drained while measured work remained.  In a
-    /// fleet this is only a deadlock once no neighbour can deliver a
-    /// cross-machine message; see [`Machine::deadlock_error`].
+    /// The event queue drained while measured work remained: a deadlock,
+    /// see [`Machine::deadlock_error`].
     Idle,
 }
 
-/// One simulated machine: per-shard state plus its platform and runtimes.
+/// One simulated machine: its engine state plus its platform and runtimes.
 #[derive(Debug)]
 pub struct Machine<P: Platform> {
     core: EngineCore,
@@ -181,34 +177,8 @@ impl<P: Platform> Machine<P> {
         self.measured = processes;
     }
 
-    /// Whether every measured process has completed.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// The time of the earliest queued event, if any — the machine's lower
-    /// bound on when it can next act (and therefore next *send*), which is
-    /// what the fleet's conservative synchronizer folds into its lookahead.
-    #[must_use]
-    pub fn next_event_time(&self) -> Option<Cycles> {
-        self.core.next_event_time()
-    }
-
-    /// Injects an externally-delivered event (a cross-machine message) into
-    /// this machine's queue shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` lies before an already-processed event — the
-    /// conservative synchronizer guarantees deliveries land at or after the
-    /// shard's clock, and the radix heap enforces it.
-    pub fn post_event(&mut self, time: Cycles, event: Event) {
-        self.core.post_event(time, event);
-    }
-
-    /// The deadlock error an [`MachineStatus::Idle`] machine reports once no
-    /// neighbour can unblock it.
+    /// The deadlock error an [`MachineStatus::Idle`] machine reports: its
+    /// queue drained with measured work remaining.
     #[must_use]
     pub fn deadlock_error(&self) -> MispError {
         MispError::Deadlock {
@@ -217,6 +187,24 @@ impl<P: Platform> Machine<P> {
                 self.remaining.len()
             ),
         }
+    }
+
+    /// Runs the simulation to completion: [`Machine::start`], then
+    /// [`Machine::advance`] with no horizon, then [`Machine::finish_report`].
+    ///
+    /// # Errors
+    ///
+    /// * [`MispError::CycleBudgetExhausted`] if the configured budget elapses
+    ///   before every measured process finishes.
+    /// * [`MispError::Deadlock`] if the event queue drains while measured
+    ///   work remains.
+    /// * [`MispError::InvalidConfiguration`] if no runtime was attached.
+    pub fn run(&mut self) -> Result<SimReport> {
+        self.start()?;
+        if self.advance(None)? != MachineStatus::Finished {
+            return Err(self.deadlock_error());
+        }
+        Ok(self.finish_report())
     }
 
     /// Prepares the machine to run: validates configuration, initializes the
@@ -309,10 +297,10 @@ impl<P: Platform> Machine<P> {
     /// Processes queued events strictly before `horizon` (all of them when
     /// `None`), stopping as soon as every measured process has completed.
     ///
-    /// `Some(h)` is the conservative-synchronization window: no event at or
-    /// beyond `h` is popped, so cross-machine messages delivered at `h` or
-    /// later can still be posted afterwards without violating the shard's
-    /// monotone clock.
+    /// With `Some(h)` no event at or beyond `h` is popped: the machine
+    /// returns [`MachineStatus::Paused`] and a later call resumes exactly
+    /// where it stopped, so a run sliced at any horizons replays
+    /// [`Machine::run`] event for event.
     ///
     /// # Errors
     ///
@@ -815,5 +803,129 @@ impl<P: Platform> Machine<P> {
             self.core.schedule_ready(seq, next_ready);
             return Ok(false);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LocalPlatform, SingleShredRuntime};
+    use misp_isa::{ProgramBuilder, SyscallKind};
+    use misp_os::TimerConfig;
+
+    /// Wraps [`LocalPlatform`] and, on the first syscall, opens three
+    /// overlapping stall windows on sequencer 1: a short one, a longer one
+    /// that extends it, and a superseded shorter one that must change
+    /// nothing.  The stale-window regression below pins the resume time.
+    #[derive(Debug)]
+    struct OverlappingStallPlatform {
+        inner: LocalPlatform,
+        stalled_once: bool,
+    }
+
+    impl Platform for OverlappingStallPlatform {
+        fn init(&mut self, core: &mut EngineCore) {
+            self.inner.init(core);
+        }
+
+        fn on_priv_event(
+            &mut self,
+            core: &mut EngineCore,
+            seq: SequencerId,
+            kind: OsEventKind,
+            now: Cycles,
+        ) -> Cycles {
+            if kind == OsEventKind::Syscall && !self.stalled_once {
+                self.stalled_once = true;
+                let victim = SequencerId::new(1);
+                core.stall(victim, now, now + Cycles::new(500));
+                // A longer overlapping window extends the stall...
+                core.stall(victim, now, now + Cycles::new(2_000));
+                // ...and a superseded shorter window must not resume early,
+                // no matter how stall-end events are scheduled or batched.
+                core.stall(victim, now, now + Cycles::new(1_000));
+            }
+            self.inner.on_priv_event(core, seq, kind, now)
+        }
+
+        fn on_timer_tick(
+            &mut self,
+            core: &mut EngineCore,
+            cpu: SequencerId,
+            tick: u64,
+            now: Cycles,
+        ) {
+            self.inner.on_timer_tick(core, cpu, tick, now);
+        }
+    }
+
+    fn run_overlapping_stall(batch: bool) -> SimReport {
+        let config = SimConfig {
+            timer: TimerConfig::disabled(),
+            batch,
+            ..SimConfig::default()
+        };
+        let mut library = ProgramLibrary::new();
+        let staller = library.insert(
+            ProgramBuilder::new("staller")
+                .compute(Cycles::new(100))
+                .syscall(SyscallKind::Io)
+                .build(),
+        );
+        let victim = library.insert(
+            ProgramBuilder::new("victim")
+                .compute(Cycles::new(10_000))
+                .build(),
+        );
+        let mut inner = LocalPlatform::new(2);
+        inner.disable_timer();
+        let platform = OverlappingStallPlatform {
+            inner,
+            stalled_once: false,
+        };
+        let mut engine = Machine::new(config, 2, library, platform);
+        let p0 = engine.core_mut().kernel_mut().spawn_process("staller");
+        let t0 = engine.core_mut().kernel_mut().spawn_thread(p0);
+        let p1 = engine.core_mut().kernel_mut().spawn_process("victim");
+        let t1 = engine.core_mut().kernel_mut().spawn_thread(p1);
+        engine.add_runtime(p0, Box::new(SingleShredRuntime::new(staller)));
+        engine.add_runtime(p1, Box::new(SingleShredRuntime::new(victim)));
+        engine.platform_mut().inner.pin_thread(t0, 0);
+        engine.platform_mut().inner.pin_thread(t1, 1);
+        engine.run().unwrap()
+    }
+
+    /// Regression test for stale stall-end handling: after a window is
+    /// extended, the superseded shorter window's end must not resume the
+    /// sequencer early — with the macro-step fast paths on or off, the
+    /// victim resumes exactly when the longest window closes.
+    #[test]
+    fn superseded_stall_window_does_not_resume_early() {
+        let switch = SimConfig::default().costs.shred_context_switch;
+        // The victim installs (shred_context_switch) and computes 10k cycles;
+        // the staller's syscall at `switch + 100` opens windows ending 500,
+        // 2000 and (superseded) 1000 cycles later.  The victim's in-flight
+        // compute has `switch + 10_000 - (switch + 100) = 9_900` cycles left,
+        // so it completes at `switch + 100 + 2_000 + 9_900 = switch+12_000`.
+        let expected = switch + Cycles::new(12_000);
+        for batch in [true, false] {
+            let report = run_overlapping_stall(batch);
+            assert_eq!(
+                report.completion_of(misp_types::ProcessId::new(1)),
+                Some(expected),
+                "victim resume time (batch = {batch})"
+            );
+            assert_eq!(
+                report.stats.per_sequencer[1].stalled,
+                Cycles::new(2_000),
+                "only the merged window is charged (batch = {batch})"
+            );
+        }
+        // And the two modes agree on everything else, down to the log digest.
+        let on = run_overlapping_stall(true);
+        let off = run_overlapping_stall(false);
+        assert_eq!(on.total_cycles, off.total_cycles);
+        assert_eq!(on.completions, off.completions);
+        assert_eq!(on.log_digest, off.log_digest);
     }
 }

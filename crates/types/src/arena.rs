@@ -76,7 +76,6 @@ arena_id!(
     crate::OsThreadId,
     crate::ShredId,
     crate::ProcessId,
-    crate::MachineId,
     crate::LockId,
 );
 

@@ -104,14 +104,6 @@ id_type!(
 );
 
 id_type!(
-    /// Identifies one machine of a simulated fleet: a complete MISP (or SMP)
-    /// box with its own clock, event-queue shard, sequencers, memory system
-    /// and kernel.  Single-machine simulations are fleets of one.
-    MachineId,
-    "MACH"
-);
-
-id_type!(
     /// Identifies a user-level synchronization object managed by ShredLib
     /// (mutex, semaphore, condition variable, event or barrier).
     LockId,
@@ -246,7 +238,6 @@ mod tests {
         assert_eq!(OsThreadId::new(2).to_string(), "THR2");
         assert_eq!(ShredId::new(3).to_string(), "SHR3");
         assert_eq!(ProcessId::new(4).to_string(), "PID4");
-        assert_eq!(MachineId::new(5).to_string(), "MACH5");
         assert_eq!(LockId::new(6).to_string(), "LCK6");
     }
 

@@ -45,8 +45,8 @@ pub use fnv::Fnv64;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use histogram::Histogram;
 pub use ids::{
-    LockId, MachineId, MispProcessorId, OsThreadId, PageId, ProcessId, SequencerId, ShredId,
-    VirtAddr, PAGE_SHIFT, PAGE_SIZE,
+    LockId, MispProcessorId, OsThreadId, PageId, ProcessId, SequencerId, ShredId, VirtAddr,
+    PAGE_SHIFT, PAGE_SIZE,
 };
 pub use ring::{Ring, RingTransition};
 pub use rng::{det_ln, SplitMix64};

@@ -200,8 +200,14 @@ impl<'a> Run<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors (budget exhaustion, deadlock).
+    /// [`MispError::InvalidConfiguration`] if a workload run has zero
+    /// workers.  Propagates simulation errors (budget exhaustion, deadlock).
     pub fn execute(self) -> Result<SimReport> {
+        if matches!(self.source, Source::Workload(_)) && self.workers == 0 {
+            return Err(MispError::InvalidConfiguration(
+                "a workload run needs at least one worker".to_string(),
+            ));
+        }
         let mut library = ProgramLibrary::new();
         let (name, scheduler) = match self.source {
             Source::Workload(w) => {
@@ -277,16 +283,15 @@ impl<'a> Run<'a> {
     }
 
     /// Runs the scenario against a whole fleet: the central customer stream
-    /// is recorded at the fleet's aggregate arrival rate, dispatched across
+    /// is recorded at the fleet's aggregate arrival rate and dispatched across
     /// `fleet.machines()` identical copies of the selected machine by the
-    /// topology's load-balancer policy, and the machines are co-simulated
-    /// under the conservative synchronizer with the topology's network
-    /// latency as lookahead.
+    /// topology's load-balancer policy, each arrival shifted by the
+    /// topology's network latency (the dispatch hop).
     ///
     /// Each machine runs its own generator replaying its slice of the
-    /// stream (machine-local arrivals include the dispatch network hop), so
-    /// per-machine service statistics and the fleet aggregate both come out
-    /// of one deterministic co-simulation.
+    /// stream, independently of the others, so per-machine service
+    /// statistics and the fleet aggregate both come out of one deterministic
+    /// run.
     ///
     /// # Errors
     ///
@@ -616,5 +621,17 @@ mod tests {
             })
             .execute_fleet(&fleet);
         assert!(denied.is_err());
+    }
+
+    #[test]
+    fn zero_workers_is_a_configuration_error_not_a_panic() {
+        let w = catalog::by_name("dense_mvm").unwrap();
+        for machine in [Machine::Serial, misp8(), Machine::smp(8)] {
+            let err = Run::workload(&w).machine(machine).workers(0).execute();
+            assert!(
+                matches!(err, Err(MispError::InvalidConfiguration(_))),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! | [`mem`] | `misp-mem` | address spaces, TLBs, working sets, access patterns |
 //! | [`os`] | `misp-os` | the OS model: kernel services, scheduler, timer |
 //! | [`trace`] | `misp-trace` | deterministic trace ring, interval metrics sampler, queue self-profiling, Perfetto exporter |
-//! | [`sim`] | `misp-sim` | the discrete-event execution engine: per-machine shards, the conservatively-synchronized fleet engine, extension traits |
+//! | [`sim`] | `misp-sim` | the discrete-event execution engine: the per-machine run loop, the fleet engine, extension traits |
 //! | [`core`] | `misp-core` | **the MISP architecture**: sequencers, SIGNAL, proxy execution, serialization, the overhead model |
 //! | [`smp`] | `misp-smp` | the SMP baseline machine |
 //! | [`shredlib`] | `shredlib` | the gang scheduler, synchronization objects, compatibility shims |

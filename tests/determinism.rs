@@ -206,10 +206,10 @@ fn service_load_grid_sweeps_identically_at_different_thread_counts() {
     );
 }
 
-/// The fleet grid is byte-identical across thread counts too: conservative
-/// cross-machine synchronization makes every machine's event order a pure
-/// function of the spec, so the per-machine records, fleet digests and
-/// merged latency histograms all replay exactly under 8-way fan-out.
+/// The fleet grid is byte-identical across thread counts too: every machine
+/// runs on its own, so its event order is a pure function of the spec, and
+/// the per-machine records, fleet digests and merged latency histograms all
+/// replay exactly under 8-way fan-out.
 #[test]
 fn fleet_service_grid_sweeps_identically_at_different_thread_counts() {
     let grid = grids::fleet_service();

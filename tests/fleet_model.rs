@@ -1,108 +1,16 @@
-//! Model-based tests of the fleet layer.
+//! Model-based tests of the fleet layer and of the machine run loop it is
+//! built from.
 //!
-//! Two promises are pinned here.  First, the deterministic cross-machine
-//! [`Mailbox`] delivers exactly the sequence a single merged reference queue
-//! would: messages sorted by `(deliver_at, seqno)`, restricted to each
-//! machine, no matter how the conservative synchronizer slices the run into
-//! windows.  Second, the fleet is a conservative *extension* of the
-//! single-machine engine: a fleet of one — and every machine of a larger
-//! fleet that receives no mail — replays the solo engine byte-for-byte,
-//! down to the event-log digest.
+//! A fleet runs each member on its own, so a fleet of one — and every member
+//! of a larger fleet — replays the solo engine byte-for-byte, down to the
+//! event-log digest.  A run sliced by `Machine::advance` horizons replays
+//! the unsliced run the same way.
 
 use misp::core::{MispMachine, MispTopology};
 use misp::isa::ProgramLibrary;
-use misp::sim::{Event, FleetEngine, FleetReport, Mailbox, SimConfig};
-use misp::types::{Cycles, MachineId};
+use misp::sim::{FleetEngine, FleetReport, MachineStatus, SimConfig};
+use misp::types::Cycles;
 use misp::workloads::{catalog, Run};
-use proptest::prelude::*;
-
-/// One scripted mailbox operation, decoded from a generated tuple.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Post a message to machine `to % machines`, `gap` cycles past the
-    /// highest horizon drained so far (the conservative invariant: an
-    /// in-window send can only deliver at or beyond the window's horizon).
-    Post { to: u32, gap: u64 },
-    /// Drain machine `machine % machines` up to a horizon `step` cycles past
-    /// the previous one.
-    Drain { machine: u32, step: u64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u32..4, 0u64..500).prop_map(|(to, gap)| Op::Post { to, gap }),
-        (0u32..4, 1u64..500).prop_map(|(machine, step)| Op::Drain { machine, step }),
-    ]
-}
-
-proptest! {
-    /// Replays a random post/drain script against the mailbox and against a
-    /// single merged reference queue (all messages sorted by
-    /// `(deliver_at, seqno)`): every machine must observe exactly the
-    /// reference subsequence addressed to it, for 2–4 machines and any
-    /// window slicing.
-    #[test]
-    fn mailbox_delivery_order_matches_a_single_merged_reference_queue(
-        input in (2usize..5, proptest::collection::vec(op_strategy(), 1..120))
-    ) {
-        let (machines, ops) = input;
-        let mut mailbox = Mailbox::with_capacity(16);
-        // The reference: one merged queue of (deliver_at, seqno, to).
-        let mut reference: Vec<(u64, u64, usize)> = Vec::new();
-        let mut delivered: Vec<Vec<(u64, u64)>> = vec![Vec::new(); machines];
-        let mut floor = 0u64; // highest horizon drained so far
-        let mut buffer = Vec::new();
-
-        for op in &ops {
-            match *op {
-                Op::Post { to, gap } => {
-                    let to = to as usize % machines;
-                    let at = floor + gap;
-                    let seqno = mailbox.post(
-                        MachineId::new(0),
-                        MachineId::new(to as u32),
-                        Cycles::new(at),
-                        Event::Sample,
-                    );
-                    reference.push((at, seqno, to));
-                }
-                Op::Drain { machine, step } => {
-                    let machine = machine as usize % machines;
-                    floor += step;
-                    mailbox.take_due(
-                        MachineId::new(machine as u32),
-                        Some(Cycles::new(floor)),
-                        &mut buffer,
-                    );
-                    delivered[machine]
-                        .extend(buffer.iter().map(|m| (m.deliver_at.as_u64(), m.seqno)));
-                }
-            }
-        }
-        // Final unbounded drain, as the synchronizer does once a machine has
-        // no live neighbours left.
-        for (machine, seen) in delivered.iter_mut().enumerate() {
-            mailbox.take_due(MachineId::new(machine as u32), None, &mut buffer);
-            seen.extend(buffer.iter().map(|m| (m.deliver_at.as_u64(), m.seqno)));
-        }
-        prop_assert!(mailbox.is_empty(), "every message is delivered exactly once");
-
-        reference.sort_unstable_by_key(|&(at, seqno, _)| (at, seqno));
-        for (machine, seen) in delivered.iter().enumerate() {
-            let expected: Vec<(u64, u64)> = reference
-                .iter()
-                .filter(|&&(_, _, to)| to == machine)
-                .map(|&(at, seqno, _)| (at, seqno))
-                .collect();
-            prop_assert_eq!(
-                seen,
-                &expected,
-                "machine {} delivery order diverged from the merged reference queue",
-                machine
-            );
-        }
-    }
-}
 
 /// Builds the MISP uniprocessor machine the runner would for `workload`,
 /// ready to drop into a fleet.
@@ -148,9 +56,8 @@ fn a_fleet_of_one_reproduces_the_single_machine_engine() {
     }
 }
 
-/// Machines that exchange no mail are untouched by the synchronizer: every
-/// member of a mixed 3-machine fleet finishes with the digest of its solo
-/// run, regardless of how the conservative windows interleaved the shards.
+/// Fleet members run independently: every member of a mixed 3-machine fleet
+/// finishes with the digest of its solo run.
 #[test]
 fn independent_fleet_members_replay_their_solo_runs() {
     let picks: Vec<_> = catalog::all().into_iter().take(3).collect();
@@ -175,7 +82,7 @@ fn independent_fleet_members_replay_their_solo_runs() {
         assert_eq!(
             fleet_report.log_digest,
             solo.log_digest,
-            "{}: windowed execution must not perturb an isolated machine",
+            "{}: fleet execution must not perturb an isolated machine",
             w.name()
         );
         assert_eq!(
@@ -189,4 +96,40 @@ fn independent_fleet_members_replay_their_solo_runs() {
         report.total_cycles(),
         solos.iter().map(|s| s.total_cycles).max().unwrap()
     );
+}
+
+/// Stepping a machine through `advance(Some(h))` in fixed slices pauses at
+/// every horizon and resumes where it stopped: the sliced run ends with the
+/// same completion time and event-log digest as `Machine::run`.
+#[test]
+fn advancing_in_fixed_slices_replays_the_unsliced_run() {
+    const SLICE: Cycles = Cycles::new(250_000);
+    for workload in catalog::all().iter().take(3) {
+        let name = workload.name();
+        let solo = misp_machine(workload).into_sim_machine().run().unwrap();
+
+        let mut machine = misp_machine(workload).into_sim_machine();
+        machine.start().unwrap();
+        let mut horizon = Cycles::ZERO;
+        let mut pauses = 0u32;
+        loop {
+            horizon += SLICE;
+            match machine.advance(Some(horizon)).unwrap() {
+                MachineStatus::Finished => break,
+                MachineStatus::Paused => pauses += 1,
+                MachineStatus::Idle => panic!("{name}: drained its queue before finishing"),
+            }
+        }
+        let sliced = machine.finish_report();
+
+        assert!(pauses > 1, "{name}: the slices must actually pause the run");
+        assert_eq!(
+            sliced.total_cycles, solo.total_cycles,
+            "{name}: completion time"
+        );
+        assert_eq!(
+            sliced.log_digest, solo.log_digest,
+            "{name}: event-log digest"
+        );
+    }
 }

@@ -13,6 +13,7 @@
 //! ```
 
 use misp::harness::{grids, run_grid, SweepOptions, VerifyMode};
+use serde_json::Value;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -21,9 +22,20 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// Points to the first differing line so a golden mismatch reads like a
-/// diff hunk instead of two 40 kB strings.
+/// Names the first differing value by its path — e.g.
+/// `records[37].sim.total_cycles` — with the golden and actual values, so a
+/// golden mismatch reads like a diff hunk instead of two 40 kB strings.
+/// Falls back to the first differing line when either document does not
+/// parse or the parsed trees agree (a formatting-only difference).
 fn first_divergence(expected: &str, actual: &str) -> String {
+    if let (Ok(e), Ok(a)) = (
+        serde_json::from_str::<Value>(expected),
+        serde_json::from_str::<Value>(actual),
+    ) {
+        if let Some(found) = value_divergence("", &e, &a) {
+            return found;
+        }
+    }
     for (number, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
         if e != a {
             return format!(
@@ -37,6 +49,80 @@ fn first_divergence(expected: &str, actual: &str) -> String {
         expected.lines().count(),
         actual.lines().count()
     )
+}
+
+/// The first place, in document order, where `actual` departs from
+/// `expected` below `path`; `None` if the two trees are equal.
+fn value_divergence(path: &str, expected: &Value, actual: &Value) -> Option<String> {
+    let at = if path.is_empty() { "the root" } else { path };
+    match (expected, actual) {
+        (Value::Object(e), Value::Object(a)) => {
+            for ((ek, ev), (ak, av)) in e.iter().zip(a) {
+                if ek != ak {
+                    return Some(format!(
+                        "first difference in {at}: golden has key {ek:?} where actual has {ak:?}"
+                    ));
+                }
+                let child = if path.is_empty() {
+                    ek.clone()
+                } else {
+                    format!("{path}.{ek}")
+                };
+                if let Some(found) = value_divergence(&child, ev, av) {
+                    return Some(found);
+                }
+            }
+            (e.len() != a.len()).then(|| {
+                format!(
+                    "first difference in {at}: golden has {} keys, actual {}",
+                    e.len(),
+                    a.len()
+                )
+            })
+        }
+        (Value::Array(e), Value::Array(a)) => {
+            for (i, (ev, av)) in e.iter().zip(a).enumerate() {
+                if let Some(found) = value_divergence(&format!("{path}[{i}]"), ev, av) {
+                    return Some(found);
+                }
+            }
+            (e.len() != a.len()).then(|| {
+                format!(
+                    "first difference in {at}: golden has {} elements, actual {}",
+                    e.len(),
+                    a.len()
+                )
+            })
+        }
+        _ => (expected != actual).then(|| {
+            let render = |v: &Value| serde_json::to_string(v).unwrap_or_else(|e| e.to_string());
+            format!(
+                "first difference at {at}:\n  golden: {}\n  actual: {}",
+                render(expected),
+                render(actual)
+            )
+        }),
+    }
+}
+
+#[test]
+fn first_divergence_names_the_differing_field() {
+    let golden = r#"{"records": [{"sim": {"total_cycles": 5}}, {"sim": {"total_cycles": 7}}]}"#;
+    let actual = r#"{"records": [{"sim": {"total_cycles": 5}}, {"sim": {"total_cycles": 8}}]}"#;
+    assert_eq!(
+        first_divergence(golden, actual),
+        "first difference at records[1].sim.total_cycles:\n  golden: 7\n  actual: 8"
+    );
+    // A committed golden parses, and one changed number is named by path.
+    let fig4 = std::fs::read_to_string(golden_path("fig4")).expect("fig4 golden");
+    let edited = fig4.replacen("\"total_cycles\": ", "\"total_cycles\": 9", 1);
+    assert!(first_divergence(&fig4, &edited)
+        .starts_with("first difference at records[0].sim.total_cycles:\n"));
+    // Equal trees with different bytes fall back to the line report.
+    assert_eq!(
+        first_divergence("{\"a\": 1}", "{\"a\":  1}"),
+        "first difference at line 1:\n  golden: {\"a\": 1}\n  actual: {\"a\":  1}"
+    );
 }
 
 fn check_grid(name: &str) {
@@ -104,8 +190,8 @@ fn service_load_matches_golden_under_full_verification() {
     check_grid_with("service_load", VerifyMode::Full);
 }
 
-/// The fleet grid — conservative multi-machine synchronization, the seeded
-/// load balancer and the schema-v5 per-machine records — is pinned under
+/// The fleet grid — independently simulated fleet members, the seeded load
+/// balancer and the schema-v5 per-machine records — is pinned under
 /// full verification: every parallel record re-verified serially in the
 /// sweep that is diffed against the golden.
 #[test]

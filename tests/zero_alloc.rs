@@ -17,8 +17,8 @@
 use misp::core::{MispMachine, MispTopology};
 use misp::isa::ProgramLibrary;
 use misp::os::TimerConfig;
-use misp::sim::{Event, FleetEngine, Mailbox, SimConfig, TraceConfig};
-use misp::types::{Cycles, MachineId};
+use misp::sim::{FleetEngine, SimConfig, TraceConfig};
+use misp::types::Cycles;
 use misp::workloads::{LocalityProfile, Suite, Workload, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -140,9 +140,8 @@ fn steady_state_step_loop_does_not_allocate() {
     );
 }
 
-/// Builds a 2-machine fleet outside the measurement, runs it under
-/// conservative synchronization and returns (allocations during the run
-/// only, executed ops across the fleet).
+/// Builds a 2-machine fleet outside the measurement, runs it and returns
+/// (allocations during the run only, executed ops across the fleet).
 fn measured_fleet_run(chunks: u64) -> (u64, u64) {
     let topo = MispTopology::uniprocessor(3).unwrap();
     let config = SimConfig {
@@ -172,10 +171,9 @@ fn measured_fleet_run(chunks: u64) -> (u64, u64) {
 }
 
 /// The fleet steady state is as allocation-free as the solo engine: each
-/// shard steps through its preallocated queue, and the synchronizer's
-/// per-window bookkeeping (horizon scan, due-mail buffer) reuses fixed
-/// storage.  Doubling every machine's work must not move the allocation
-/// count by more than the amortized-growth slack.
+/// member steps through its own preallocated queue.  Doubling every
+/// machine's work must not move the allocation count by more than the
+/// amortized-growth slack.
 #[test]
 fn fleet_steady_state_step_loop_does_not_allocate() {
     let _ = measured_fleet_run(1_000);
@@ -193,44 +191,6 @@ fn fleet_steady_state_step_loop_does_not_allocate() {
         delta <= 64,
         "fleet steady-state loop allocated: {alloc_1x} allocations for {ops_1x} ops vs \
          {alloc_2x} for {ops_2x} ops (delta {delta})"
-    );
-}
-
-/// Posting into the cross-machine mailbox within its preallocated capacity
-/// is allocation-free, and so is draining through a caller-reused buffer —
-/// the properties the fleet's per-window delivery path relies on.
-#[test]
-fn mailbox_posting_and_draining_do_not_allocate_within_capacity() {
-    let mut mailbox = Mailbox::with_capacity(256);
-    let mut buffer = Vec::with_capacity(256);
-    // Warm both buffers past their first use.
-    mailbox.post(
-        MachineId::new(0),
-        MachineId::new(1),
-        Cycles::new(1),
-        Event::Sample,
-    );
-    mailbox.take_due(MachineId::new(1), None, &mut buffer);
-
-    let before = allocations();
-    for round in 0..8u64 {
-        for i in 0..200u64 {
-            mailbox.post(
-                MachineId::new(0),
-                MachineId::new((i % 2) as u32),
-                Cycles::new(round * 1_000 + i),
-                Event::Sample,
-            );
-        }
-        for machine in 0..2u32 {
-            mailbox.take_due(MachineId::new(machine), None, &mut buffer);
-        }
-    }
-    let during = allocations() - before;
-    assert!(mailbox.is_empty());
-    assert_eq!(
-        during, 0,
-        "mailbox traffic within capacity must not allocate ({during} allocations)"
     );
 }
 
