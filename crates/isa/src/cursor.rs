@@ -183,6 +183,12 @@ impl OwnedCursor {
         &self.program
     }
 
+    /// Consumes the cursor, handing back its share of the program.
+    #[must_use]
+    pub fn into_program(self) -> Arc<ShredProgram> {
+        self.program
+    }
+
     /// The number of operations yielded so far.  An operation that has only
     /// been peeked does not count until it is consumed by
     /// [`OwnedCursor::next_op`].

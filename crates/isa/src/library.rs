@@ -115,6 +115,17 @@ impl FromIterator<ShredProgram> for ProgramLibrary {
     }
 }
 
+impl IntoIterator for ProgramLibrary {
+    type Item = ShredProgram;
+    type IntoIter = std::vec::IntoIter<ShredProgram>;
+
+    /// Moves the programs out in insertion order, so a machine can take
+    /// ownership of its library without copying any program.
+    fn into_iter(self) -> Self::IntoIter {
+        self.programs.into_iter()
+    }
+}
+
 impl Extend<ShredProgram> for ProgramLibrary {
     fn extend<I: IntoIterator<Item = ShredProgram>>(&mut self, iter: I) {
         self.programs.extend(iter);
@@ -163,6 +174,8 @@ mod tests {
         lib.extend(vec![ProgramBuilder::new("p2").build()]);
         assert_eq!(lib.len(), 3);
         assert_eq!(lib.get(ProgramRef::new(2)).unwrap().name(), "p2");
+        let names: Vec<String> = lib.into_iter().map(|p| p.name().to_string()).collect();
+        assert_eq!(names, ["p0", "p1", "p2"]);
     }
 
     #[test]

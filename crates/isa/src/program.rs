@@ -79,6 +79,14 @@ impl ShredProgram {
         &self.items
     }
 
+    /// The top-level items, for rewriting a program in place.  A program
+    /// shared behind an `Arc` is only reachable this way through
+    /// `Arc::get_mut`, that is once no shred runs it any more, so reusing
+    /// its buffer never changes code a shred is executing.
+    pub fn items_mut(&mut self) -> &mut Vec<ProgramItem> {
+        &mut self.items
+    }
+
     /// The total number of operations the program executes when run to
     /// completion, including the implicit final `Halt`.
     #[must_use]

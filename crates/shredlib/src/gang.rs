@@ -2,9 +2,10 @@
 
 use crate::service::{Admission, ServiceState};
 use crate::{SchedulingPolicy, ServiceModel, SyncTable, WorkQueue};
-use misp_isa::{ProgramRef, RuntimeOp};
+use misp_isa::{ProgramRef, RuntimeOp, ShredProgram};
 use misp_sim::{EngineCore, Runtime, RuntimeOutcome, ShredStatus};
 use misp_types::{ArenaMap, Cycles, LockId, OsThreadId, ProcessId, SequencerId, ShredId};
+use std::sync::Arc;
 
 /// Builder for [`GangScheduler`].
 #[derive(Debug, Default, Clone)]
@@ -74,7 +75,9 @@ impl GangSchedulerBuilder {
     }
 
     /// Attaches an open-loop [`ServiceModel`]: every `ShredCreate` becomes a
-    /// request admission measured against the model's arrival schedule.
+    /// request admission measured against the model's arrival schedule, and
+    /// an admitted request's shred runs the ops the model builds for it
+    /// rather than the program the create names.
     #[must_use]
     pub fn service(mut self, model: ServiceModel) -> Self {
         self.service = Some(model);
@@ -167,15 +170,20 @@ impl GangScheduler {
         self.queue.max_depth()
     }
 
+    /// Wakes the idle sequencers of every thread of the process.  Threads
+    /// are read by index, not copied out, so a wake on every request create
+    /// and completion costs no allocation.
     fn wake_all(&self, core: &mut EngineCore, now: Cycles) {
         let Some(pid) = self.process else { return };
-        let threads: Vec<OsThreadId> = core
-            .kernel()
-            .process(pid)
-            .map(|p| p.threads().to_vec())
-            .unwrap_or_default();
-        for t in threads {
+        let thread_at = |core: &EngineCore, i: usize| {
+            core.kernel()
+                .process(pid)
+                .and_then(|p| p.threads().get(i).copied())
+        };
+        let mut i = 0;
+        while let Some(t) = thread_at(core, i) {
             core.wake_thread_sequencers(t, now);
+            i += 1;
         }
     }
 
@@ -183,11 +191,11 @@ impl GangScheduler {
         &mut self,
         core: &mut EngineCore,
         thread: OsThreadId,
-        program: ProgramRef,
+        program: Arc<ShredProgram>,
         now: Cycles,
     ) -> ShredId {
         let pid = self.process.expect("process recorded at thread start");
-        let shred = core.create_shred(pid, thread, program, now);
+        let shred = core.create_shred_from(pid, thread, program, now);
         self.shreds_created += 1;
         self.queue.push(shred);
         shred
@@ -222,14 +230,14 @@ impl Runtime for GangScheduler {
 
         if first_thread {
             if let Some(main) = self.main_program {
-                self.create_and_queue(core, thread, main, now);
+                self.create_and_queue(core, thread, library_program(core, main), now);
             }
             let initial = std::mem::take(&mut self.initial_shreds);
             for program in initial {
-                self.create_and_queue(core, thread, program, now);
+                self.create_and_queue(core, thread, library_program(core, program), now);
             }
         } else if let Some(program) = self.thread_program {
-            self.create_and_queue(core, thread, program, now);
+            self.create_and_queue(core, thread, library_program(core, program), now);
         }
         self.wake_all(core, now);
     }
@@ -291,7 +299,11 @@ impl Runtime for GangScheduler {
                     .shred(shred)
                     .map(|s| s.thread())
                     .expect("executing shred exists");
-                let created = self.create_and_queue(core, thread, *program, now);
+                let program = match (&mut self.service, admission) {
+                    (Some(service), Admission::Admit { index }) => service.request_program(index),
+                    _ => library_program(core, *program),
+                };
+                let created = self.create_and_queue(core, thread, program, now);
                 if let (Some(service), Admission::Admit { index }) = (&mut self.service, admission)
                 {
                     service.register(created, index);
@@ -383,13 +395,26 @@ impl Runtime for GangScheduler {
     }
 }
 
+/// The library program `r` names.
+///
+/// # Panics
+///
+/// Panics if `r` is not in the machine's library.
+fn library_program(core: &EngineCore, r: ProgramRef) -> Arc<ShredProgram> {
+    Arc::clone(core.program(r).expect("program reference must be valid"))
+}
+
 impl GangScheduler {
-    /// If `shred` is a tracked request, records its completion and wakes all
-    /// sequencers: a freed pool slot may unblock the head of the ready queue
-    /// on a sequencer that went idle under head-of-line gating.
+    /// If `shred` is a tracked request, records its completion, keeps its
+    /// program for reuse, and wakes all sequencers: a freed pool slot may
+    /// unblock the head of the ready queue on a sequencer that went idle
+    /// under head-of-line gating.
     fn complete_request(&mut self, core: &mut EngineCore, shred: ShredId, now: Cycles) {
         if let Some(service) = &mut self.service {
             if service.complete(shred, now) {
+                if let Some(program) = core.release_program(shred) {
+                    service.reclaim(program);
+                }
                 self.wake_all(core, now);
             }
         }
@@ -617,14 +642,12 @@ mod tests {
     /// Builds an open-loop generator: the main shred alternates
     /// `compute(gap)` and `shred_create(request)`, so requests are created at
     /// the scheduled arrival times (plus queue-lock costs, the open-loop
-    /// drift).  Returns the library and the arrival schedule.
-    fn service_library(gaps: &[u64], service_cycles: u64) -> (ProgramLibrary, Vec<Cycles>) {
+    /// drift).  The `request` template the creates name is empty; each
+    /// admitted request runs the model's `Compute(service_cycles)` instead.
+    /// Returns the library and the model.
+    fn service_library(gaps: &[u64], service_cycles: u64) -> (ProgramLibrary, ServiceModel) {
         let mut lib = ProgramLibrary::new();
-        let request = lib.insert(
-            ProgramBuilder::new("request")
-                .compute(Cycles::new(service_cycles))
-                .build(),
-        );
+        let request = lib.insert(misp_isa::ShredProgram::empty("request"));
         let mut generator = ProgramBuilder::new("generator").op(Op::RegisterHandler);
         let mut arrivals = Vec::new();
         let mut at = 0u64;
@@ -634,20 +657,27 @@ mod tests {
             generator = generator.compute(Cycles::new(gap)).shred_create(request);
         }
         lib.insert(generator.build());
-        (lib, arrivals)
+        let compute_only = crate::RequestShape {
+            session_base: VirtAddr::new(0),
+            session_pages: 0,
+            touches: 0,
+            syscall_every: 0,
+        };
+        let demands = vec![Cycles::new(service_cycles); gaps.len()];
+        (lib, ServiceModel::new(arrivals, demands, compute_only))
     }
 
     #[test]
     fn service_model_measures_every_request() {
         let gaps = [10_000u64; 6];
-        let (lib, arrivals) = service_library(&gaps, 5_000);
+        let (lib, model) = service_library(&gaps, 5_000);
         let mut machine = MispMachine::new(MispTopology::uniprocessor(3).unwrap(), quiet(), lib);
         machine.add_process(
             "svc",
             Box::new(
                 GangScheduler::builder()
                     .main_program(ProgramRef::new(1))
-                    .service(ServiceModel::new(arrivals))
+                    .service(model)
                     .build(),
             ),
             Some(0),
@@ -658,7 +688,8 @@ mod tests {
         assert_eq!(service.completed, 6);
         assert_eq!(service.dropped, 0);
         assert_eq!(service.latency.count(), 6);
-        // Each request takes at least its own service time.
+        // Each request takes at least its own service time, which only the
+        // model's ops hold: the template the generator names is empty.
         assert!(service.latency.min() >= 5_000, "{}", service.latency.min());
         assert_eq!(service.queue_depth.len(), 12, "one edge per admit/complete");
     }
@@ -669,9 +700,9 @@ mod tests {
         // requests run back-to-back, so the last one's latency is about
         // 6 * service even though 3 AMSs sit idle.
         let gaps = [1u64; 6];
-        let (lib, arrivals) = service_library(&gaps, 100_000);
+        let (lib, model) = service_library(&gaps, 100_000);
         let wide = |pool| {
-            let (lib, arrivals) = (lib.clone(), arrivals.clone());
+            let (lib, model) = (lib.clone(), model.clone());
             let mut machine =
                 MispMachine::new(MispTopology::uniprocessor(3).unwrap(), quiet(), lib);
             machine.add_process(
@@ -679,7 +710,7 @@ mod tests {
                 Box::new(
                     GangScheduler::builder()
                         .main_program(ProgramRef::new(1))
-                        .service(ServiceModel::new(arrivals).with_pool_width(pool))
+                        .service(model.with_pool_width(pool))
                         .build(),
                 ),
                 Some(0),
@@ -709,14 +740,14 @@ mod tests {
         // Six near-simultaneous arrivals into a bound of two outstanding:
         // at least one must be dropped, and drops + completions = arrivals.
         let gaps = [1u64; 6];
-        let (lib, arrivals) = service_library(&gaps, 200_000);
+        let (lib, model) = service_library(&gaps, 200_000);
         let mut machine = MispMachine::new(MispTopology::uniprocessor(1).unwrap(), quiet(), lib);
         machine.add_process(
             "svc",
             Box::new(
                 GangScheduler::builder()
                     .main_program(ProgramRef::new(1))
-                    .service(ServiceModel::new(arrivals).with_queue_bound(2))
+                    .service(model.with_queue_bound(2))
                     .build(),
             ),
             Some(0),

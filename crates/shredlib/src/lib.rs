@@ -52,6 +52,6 @@ mod tls;
 
 pub use gang::{GangScheduler, GangSchedulerBuilder};
 pub use queue::{SchedulingPolicy, WorkQueue};
-pub use service::ServiceModel;
+pub use service::{RequestShape, ServiceModel};
 pub use sync::{SyncObject, SyncTable};
 pub use tls::ShredLocalStorage;

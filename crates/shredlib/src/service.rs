@@ -22,36 +22,124 @@
 //! cycles), the *same* schedule can be replayed against different machines
 //! and pool shapes: common random numbers, giving paired low-variance
 //! comparisons.
+//!
+//! A request is data, not a program.  The model carries each request's
+//! recorded service demand and one [`RequestShape`]; the scheduler builds
+//! request `n`'s few ops only when it admits request `n` (like ShredLib's `Shred_create`, which queues
+//! shared code plus per-shred state).  A finished shred releases its
+//! program, and a later admission rewrites that program in place, so the
+//! steady state allocates nothing per request and memory tracks
+//! outstanding requests rather than the stream's length.
 
+use misp_isa::{Op, ProgramItem, ShredProgram, SyscallKind};
 use misp_sim::ServiceStats;
-use misp_types::{ArenaMap, Cycles, ShredId};
+use misp_types::{ArenaMap, Cycles, ShredId, VirtAddr, PAGE_SIZE};
+use std::sync::Arc;
 
 /// Cap on the recorded queue-depth time series; recording stops (counters
 /// continue) once this many edges have been captured.
 const MAX_DEPTH_SAMPLES: usize = 4096;
 
+/// What every request of a stream does, apart from its service demand: it
+/// loads its slice of a shared session working set, computes its demand,
+/// and every `syscall_every`-th request then issues an I/O system call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestShape {
+    /// Base address of the session working set shared by all requests.
+    pub session_base: VirtAddr,
+    /// Pages in the session working set; request `n` loads pages
+    /// `n * touches ..` modulo this count.
+    pub session_pages: u64,
+    /// Session pages each request loads before it computes.
+    pub touches: u64,
+    /// Request `n` issues an I/O system call when `n` is a multiple of this
+    /// period; zero means never.
+    pub syscall_every: u64,
+}
+
+impl RequestShape {
+    /// Whether request `index` ends with a system call.
+    fn syscalls(&self, index: usize) -> bool {
+        self.syscall_every > 0 && (index as u64).is_multiple_of(self.syscall_every)
+    }
+
+    /// The number of ops of request `index`.
+    fn op_count(&self, index: usize) -> usize {
+        self.touches as usize + 1 + usize::from(self.syscalls(index))
+    }
+
+    /// Appends the ops of request `index` with service `demand` to `ops`.
+    fn push_ops(&self, index: usize, demand: Cycles, ops: &mut Vec<ProgramItem>) {
+        let n = index as u64;
+        for t in 0..self.touches {
+            let page = (n * self.touches + t) % self.session_pages;
+            ops.push(ProgramItem::Op(Op::load(
+                self.session_base.offset(page * PAGE_SIZE),
+            )));
+        }
+        ops.push(ProgramItem::Op(Op::Compute(demand)));
+        if self.syscalls(index) {
+            ops.push(ProgramItem::Op(Op::Syscall(SyscallKind::Io)));
+        }
+    }
+}
+
 /// A recorded open-loop request schedule plus service-system shape.
 ///
-/// `arrivals[n]` is the scheduled arrival cycle of the `n`-th request; the
-/// `n`-th `ShredCreate` executed under the model admits (or drops) exactly
-/// that request, whatever the machine it replays on.
+/// `arrivals[n]` is the scheduled arrival cycle of the `n`-th request and
+/// `demands[n]` its service demand; the `n`-th `ShredCreate` executed under
+/// the model admits (or drops) exactly that request, whatever the machine it
+/// replays on.  An admitted request's shred runs the ops of
+/// [`ServiceModel::request_ops`], not the program its `ShredCreate` names.
+/// Those programs carry an empty name: a request shred costs no name
+/// allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceModel {
     arrivals: Vec<Cycles>,
+    demands: Vec<Cycles>,
+    shape: RequestShape,
     pool_width: Option<usize>,
     queue_bound: Option<usize>,
 }
 
 impl ServiceModel {
-    /// Creates a model for a recorded arrival schedule with an unbounded
-    /// queue and an unbounded pool.
+    /// Creates a model for a recorded stream, with an unbounded queue and an
+    /// unbounded pool: request `n` arrives at `arrivals[n]`, computes
+    /// `demands[n]` cycles and otherwise follows `shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` and `demands` differ in length, or if `shape`
+    /// asks for touches in an empty session working set.
     #[must_use]
-    pub fn new(arrivals: Vec<Cycles>) -> Self {
+    pub fn new(arrivals: Vec<Cycles>, demands: Vec<Cycles>, shape: RequestShape) -> Self {
+        assert_eq!(
+            demands.len(),
+            arrivals.len(),
+            "one service demand per arrival"
+        );
+        assert!(
+            shape.touches == 0 || shape.session_pages > 0,
+            "requests that touch the session need at least one session page"
+        );
         ServiceModel {
             arrivals,
+            demands,
+            shape,
             pool_width: None,
             queue_bound: None,
         }
+    }
+
+    /// The ops of request `index`, built with exact capacity: its
+    /// session-page loads, `Compute(demand)`, and `Syscall(Io)` on every
+    /// `syscall_every`-th request.  `None` when `index` is past the stream.
+    #[must_use]
+    pub fn request_ops(&self, index: usize) -> Option<Vec<ProgramItem>> {
+        let demand = *self.demands.get(index)?;
+        let mut ops = Vec::with_capacity(self.shape.op_count(index));
+        self.shape.push_ops(index, demand, &mut ops);
+        Some(ops)
     }
 
     /// Bounds the number of requests in service at once (M/M/k pool shape).
@@ -125,6 +213,9 @@ pub(crate) struct ServiceState {
     /// Requests admitted and not yet completed.
     outstanding: usize,
     stats: ServiceStats,
+    /// Programs of completed requests, rewritten in place for later
+    /// admissions once their shreds have released them.
+    spare: Vec<Arc<ShredProgram>>,
 }
 
 impl ServiceState {
@@ -136,6 +227,7 @@ impl ServiceState {
             in_service: 0,
             outstanding: 0,
             stats: ServiceStats::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -166,6 +258,33 @@ impl ServiceState {
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding as u64);
         self.sample_depth(now);
         Admission::Admit { index }
+    }
+
+    /// The program for admitted arrival `index`.  A completed request's
+    /// program that its shred has released is rewritten in place, so
+    /// steady-state admissions allocate nothing; otherwise the ops are built
+    /// with exact capacity.
+    pub(crate) fn request_program(&mut self, index: usize) -> Arc<ShredProgram> {
+        if let Some(mut program) = self.spare.pop() {
+            if let Some(reusable) = Arc::get_mut(&mut program) {
+                let ops = reusable.items_mut();
+                ops.clear();
+                self.model
+                    .shape
+                    .push_ops(index, self.model.demands[index], ops);
+                return program;
+            }
+        }
+        let ops = self
+            .model
+            .request_ops(index)
+            .expect("an admitted arrival is in the stream");
+        Arc::new(ShredProgram::from_items(String::new(), ops))
+    }
+
+    /// Keeps a completed request's program for reuse by a later admission.
+    pub(crate) fn reclaim(&mut self, program: Arc<ShredProgram>) {
+        self.spare.push(program);
     }
 
     /// Registers the shred created for an admitted arrival.
@@ -222,8 +341,22 @@ impl ServiceState {
 mod tests {
     use super::*;
 
+    fn shape() -> RequestShape {
+        RequestShape {
+            session_base: VirtAddr::new(0x1000_0000),
+            session_pages: 3,
+            touches: 2,
+            syscall_every: 2,
+        }
+    }
+
+    /// `n` requests arriving 100 cycles apart, request `i` demanding `7 + i`.
     fn model(n: u64) -> ServiceModel {
-        ServiceModel::new((0..n).map(|i| Cycles::new(i * 100)).collect())
+        ServiceModel::new(
+            (0..n).map(|i| Cycles::new(i * 100)).collect(),
+            (0..n).map(|i| Cycles::new(7 + i)).collect(),
+            shape(),
+        )
     }
 
     #[test]
@@ -277,6 +410,46 @@ mod tests {
         assert!(st.complete(ShredId::new(1), Cycles::new(250)));
         assert_eq!(st.stats().latency.max(), 250);
         assert_eq!(st.stats().completed, 1);
+    }
+
+    #[test]
+    fn request_ops_follow_the_shape() {
+        let m = model(3);
+        let load =
+            |page: u64| ProgramItem::Op(Op::load(VirtAddr::new(0x1000_0000 + page * PAGE_SIZE)));
+        let ops = m.request_ops(1).unwrap();
+        assert_eq!(
+            ops,
+            vec![
+                load(2),
+                load(0),
+                ProgramItem::Op(Op::Compute(Cycles::new(8)))
+            ]
+        );
+        assert_eq!(ops.capacity(), ops.len(), "built with exact capacity");
+        let ops = m.request_ops(2).unwrap();
+        assert_eq!(ops.len(), 4, "request 2 ends with a system call");
+        assert_eq!(ops.capacity(), 4);
+        assert_eq!(ops[3], ProgramItem::Op(Op::Syscall(SyscallKind::Io)));
+        assert!(m.request_ops(3).is_none(), "past the stream");
+    }
+
+    #[test]
+    fn released_request_programs_are_rewritten_in_place() {
+        let mut st = ServiceState::new(model(3));
+        let first = st.request_program(0);
+        st.reclaim(Arc::clone(&first));
+        // The shred still runs `first`: the next admission cannot reuse it.
+        let second = st.request_program(1);
+        assert!(!Arc::ptr_eq(&first, &second));
+        st.reclaim(Arc::clone(&second));
+        // Once the shred releases it, the buffer is rewritten in place.
+        let reused = Arc::as_ptr(&second);
+        drop(second);
+        let third = st.request_program(2);
+        assert_eq!(Arc::as_ptr(&third), reused);
+        assert_eq!(third.items(), st.model.request_ops(2).unwrap().as_slice());
+        assert_eq!(first.items(), st.model.request_ops(0).unwrap().as_slice());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::{
     Event, EventLog, EventQueue, SequencerTable, ShredExecState, ShredPool, SimConfig, SimStats,
 };
-use misp_isa::{ProgramLibrary, ProgramRef};
+use misp_isa::{ProgramLibrary, ProgramRef, ShredProgram};
 use misp_mem::MemorySystem;
 use misp_os::Kernel;
 use misp_trace::TraceKind;
@@ -38,11 +38,12 @@ pub struct EngineCore {
     kernel: Kernel,
     stats: SimStats,
     log: EventLog,
-    programs: Vec<Arc<misp_isa::ShredProgram>>,
+    programs: Vec<Arc<ShredProgram>>,
 }
 
 impl EngineCore {
     /// Creates the core for a machine with `sequencer_count` sequencers.
+    /// The core takes ownership of `library`'s programs without copying them.
     #[must_use]
     pub fn new(config: SimConfig, sequencer_count: usize, library: ProgramLibrary) -> Self {
         let mut log = EventLog::default();
@@ -66,7 +67,7 @@ impl EngineCore {
             kernel: Kernel::new(config.costs),
             stats: SimStats::new(sequencer_count),
             log,
-            programs: library.iter().map(|(_, p)| Arc::new(p.clone())).collect(),
+            programs: library.into_iter().map(Arc::new).collect(),
         }
     }
 
@@ -178,7 +179,7 @@ impl EngineCore {
 
     /// The program referenced by `r`, if it exists in the library.
     #[must_use]
-    pub fn program(&self, r: ProgramRef) -> Option<&Arc<misp_isa::ShredProgram>> {
+    pub fn program(&self, r: ProgramRef) -> Option<&Arc<ShredProgram>> {
         self.programs.get(r.as_usize())
     }
 
@@ -205,15 +206,40 @@ impl EngineCore {
         program: ProgramRef,
         now: Cycles,
     ) -> ShredId {
-        let prog = Arc::clone(
+        let program = Arc::clone(
             self.programs
                 .get(program.as_usize())
                 .expect("program reference must be valid"),
         );
-        let id = self.shreds.create(process, thread, prog, now);
+        self.create_shred_from(process, thread, program, now)
+    }
+
+    /// Like [`EngineCore::create_shred`], but runs `program` directly instead
+    /// of a library entry: the path for code built per shred at run time,
+    /// such as a service request's ops.  The shred shares `program` until it
+    /// finishes and then releases it.
+    pub fn create_shred_from(
+        &mut self,
+        process: ProcessId,
+        thread: OsThreadId,
+        program: Arc<ShredProgram>,
+        now: Cycles,
+    ) -> ShredId {
+        let id = self.shreds.create(process, thread, program, now);
         self.log
             .record(now, SequencerId::new(0), TraceKind::ShredStart);
         id
+    }
+
+    /// Marks shred `id` finished at `now`, releasing its program.
+    pub(crate) fn finish_shred(&mut self, id: ShredId, now: Cycles) {
+        self.shreds.finish(id, now);
+    }
+
+    /// Takes the program of shred `id`, which has run to completion, so a
+    /// runtime can reuse it (see [`ShredPool::release`]).
+    pub fn release_program(&mut self, id: ShredId) -> Option<Arc<ShredProgram>> {
+        self.shreds.release(id)
     }
 
     // ------------------------------------------------------------------
@@ -531,6 +557,7 @@ impl EngineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShredStatus;
     use misp_isa::ProgramBuilder;
 
     fn core_with(programs: usize, sequencers: usize) -> EngineCore {
@@ -563,6 +590,42 @@ mod tests {
         let id = core.create_shred(pid, tid, ProgramRef::new(0), Cycles::ZERO);
         assert_eq!(core.shred(id).unwrap().program_name(), "p0");
         assert_eq!(core.shred(id).unwrap().process(), pid);
+    }
+
+    /// A program built for one shred lives only as long as that shred: once
+    /// the shred finishes, the caller's handle is the last one.
+    #[test]
+    fn a_finished_shred_releases_its_program() {
+        let mut core = core_with(0, 1);
+        let pid = core.kernel_mut().spawn_process("p");
+        let tid = core.kernel_mut().spawn_thread(pid);
+        let request = Arc::new(
+            ProgramBuilder::new("request")
+                .compute(Cycles::new(100))
+                .build(),
+        );
+        let id = core.create_shred_from(pid, tid, Arc::clone(&request), Cycles::ZERO);
+        assert_eq!(Arc::strong_count(&request), 2);
+        assert_eq!(core.shred(id).unwrap().program_name(), "request");
+        core.finish_shred(id, Cycles::new(100));
+        assert_eq!(Arc::strong_count(&request), 1);
+        let done = core.shred(id).unwrap();
+        assert_eq!(done.status(), ShredStatus::Done);
+        assert_eq!(done.finished_at(), Some(Cycles::new(100)));
+        assert_eq!(done.program_name(), "", "the shared empty program");
+
+        // A runtime may take the program back first; finishing then leaves
+        // the runtime's handle as the only one.
+        let id = core.create_shred_from(pid, tid, Arc::clone(&request), Cycles::ZERO);
+        let taken = core.release_program(id).unwrap();
+        assert!(Arc::ptr_eq(&taken, &request));
+        core.finish_shred(id, Cycles::new(200));
+        assert_eq!(
+            Arc::strong_count(&request),
+            2,
+            "the test's and the runtime's"
+        );
+        assert_eq!(core.shred(id).unwrap().program_name(), "");
     }
 
     #[test]

@@ -720,9 +720,7 @@ impl<P: Platform> Machine<P> {
                             false
                         }
                         RuntimeOutcome::Exit { cost } => {
-                            if let Some(s) = self.core.shred_mut(shred_id) {
-                                s.finish(now);
-                            }
+                            self.core.finish_shred(shred_id, now);
                             self.core.log_event(seq, TraceKind::ShredEnd);
                             self.core.sequencers_mut().set_current_shred(seq, None);
                             self.core.schedule_ready(
@@ -739,9 +737,7 @@ impl<P: Platform> Machine<P> {
                         .get_mut(pid)
                         .expect("runtime exists for running shred");
                     runtime.on_shred_halt(&mut self.core, seq, shred_id, now);
-                    if let Some(s) = self.core.shred_mut(shred_id) {
-                        s.finish(now);
-                    }
+                    self.core.finish_shred(shred_id, now);
                     self.core.log_event(seq, TraceKind::ShredEnd);
                     self.core.sequencers_mut().set_current_shred(seq, None);
                     self.core.schedule_ready(seq, now + shred_context_switch);

@@ -1,6 +1,6 @@
 //! Shred execution state and the shred pool.
 
-use misp_isa::OwnedCursor;
+use misp_isa::{OwnedCursor, ShredProgram};
 use misp_types::{Cycles, OsThreadId, ProcessId, ShredId};
 use std::sync::Arc;
 
@@ -49,6 +49,11 @@ impl ShredExecState {
     }
 
     /// The shred's program name.
+    ///
+    /// A finished shred has released its program (see
+    /// [`ShredPool::finish`]), so on a finished shred this reports the name
+    /// of the pool's shared empty program, the empty string.  So does a
+    /// shred whose program was taken with [`ShredPool::release`].
     #[must_use]
     pub fn program_name(&self) -> &str {
         self.cursor.program().name()
@@ -83,17 +88,42 @@ impl ShredExecState {
         self.finished_at
     }
 
-    /// Marks the shred finished at `now`.
-    pub fn finish(&mut self, now: Cycles) {
+    /// Swaps the shred's program for `released` and returns it.
+    fn release(&mut self, released: &Arc<ShredProgram>) -> Arc<ShredProgram> {
+        let cursor = std::mem::replace(&mut self.cursor, OwnedCursor::new(Arc::clone(released)));
+        cursor.into_program()
+    }
+
+    /// Marks the shred finished at `now` and drops its hold on its program
+    /// by swapping in `released`, so a program built for one shred is freed
+    /// as soon as that shred is done.
+    fn finish(&mut self, now: Cycles, released: &Arc<ShredProgram>) {
         self.status = ShredStatus::Done;
         self.finished_at = Some(now);
+        // A runtime that reuses programs has usually taken this one already
+        // (`ShredPool::release`); skipping the swap then saves two atomic
+        // reference-count updates per shred.
+        if !Arc::ptr_eq(self.cursor.program(), released) {
+            drop(self.release(released));
+        }
     }
 }
 
 /// The pool of all shreds created during a simulation, across all processes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShredPool {
     shreds: Vec<ShredExecState>,
+    /// The empty program every finished shred points at instead of its own.
+    released: Arc<ShredProgram>,
+}
+
+impl Default for ShredPool {
+    fn default() -> Self {
+        ShredPool {
+            shreds: Vec::new(),
+            released: Arc::new(ShredProgram::empty("")),
+        }
+    }
 }
 
 impl ShredPool {
@@ -109,7 +139,7 @@ impl ShredPool {
         &mut self,
         process: ProcessId,
         thread: OsThreadId,
-        program: Arc<misp_isa::ShredProgram>,
+        program: Arc<ShredProgram>,
         now: Cycles,
     ) -> ShredId {
         let id = ShredId::new(self.shreds.len() as u32);
@@ -123,6 +153,23 @@ impl ShredPool {
             finished_at: None,
         });
         id
+    }
+
+    /// Marks shred `id` finished at `now` and releases its program: the
+    /// shred's cursor moves to the pool's shared empty program, so peak
+    /// memory tracks live shreds, not every shred ever created.
+    pub fn finish(&mut self, id: ShredId, now: Cycles) {
+        if let Some(shred) = self.shreds.get_mut(id.as_usize()) {
+            shred.finish(now, &self.released);
+        }
+    }
+
+    /// Takes shred `id`'s program, leaving the shared empty program in its
+    /// place: the hand-back for a runtime that reuses the program once the
+    /// shred has run it to completion.  The shred must not execute again.
+    pub fn release(&mut self, id: ShredId) -> Option<Arc<ShredProgram>> {
+        let shred = self.shreds.get_mut(id.as_usize())?;
+        Some(shred.release(&self.released))
     }
 
     /// Looks up a shred.
@@ -178,7 +225,7 @@ mod tests {
     use super::*;
     use misp_isa::ProgramBuilder;
 
-    fn program(name: &str) -> Arc<misp_isa::ShredProgram> {
+    fn program(name: &str) -> Arc<ShredProgram> {
         Arc::new(ProgramBuilder::new(name).compute(Cycles::new(1)).build())
     }
 
@@ -218,7 +265,7 @@ mod tests {
         assert_eq!(pool.get(id).unwrap().status(), ShredStatus::Ready);
         pool.get_mut(id).unwrap().set_status(ShredStatus::Running);
         assert_eq!(pool.get(id).unwrap().status(), ShredStatus::Running);
-        pool.get_mut(id).unwrap().finish(Cycles::new(100));
+        pool.finish(id, Cycles::new(100));
         let s = pool.get(id).unwrap();
         assert_eq!(s.status(), ShredStatus::Done);
         assert_eq!(s.finished_at(), Some(Cycles::new(100)));
@@ -232,7 +279,7 @@ mod tests {
         let a = pool.create(p0, OsThreadId::new(0), program("a"), Cycles::ZERO);
         let _b = pool.create(p1, OsThreadId::new(1), program("b"), Cycles::ZERO);
         assert!(!pool.process_done(p0));
-        pool.get_mut(a).unwrap().finish(Cycles::new(1));
+        pool.finish(a, Cycles::new(1));
         assert!(pool.process_done(p0));
         assert!(!pool.process_done(p1));
         assert!(

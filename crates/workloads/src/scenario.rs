@@ -5,9 +5,11 @@
 //! to the service pool's capacity, and the shape of each request (service
 //! time, session working-set touches, occasional system calls).  From a seed
 //! it records a [`RequestStream`] — the explicit list of arrival cycles and
-//! per-request service times — and builds the generator + request shred
-//! programs plus a [`GangScheduler`] carrying the matching
-//! [`shredlib::ServiceModel`].
+//! per-request service times — and builds two programs, the generator and
+//! one request template, plus a [`GangScheduler`] carrying the matching
+//! [`shredlib::ServiceModel`].  Requests are data: the model holds the
+//! stream's service demands and the [`RequestShape`], and the scheduler
+//! builds each request's ops only when it admits that request.
 //!
 //! # Common random numbers
 //!
@@ -35,9 +37,9 @@
 //! ```
 
 use misp_core::{FleetTopology, LoadBalancerPolicy};
-use misp_isa::{Op, ProgramBuilder, ProgramLibrary, SyscallKind};
-use misp_types::{Cycles, SplitMix64, VirtAddr, PAGE_SIZE};
-use shredlib::{GangScheduler, SchedulingPolicy, ServiceModel};
+use misp_isa::{Op, ProgramBuilder, ProgramLibrary, ShredProgram};
+use misp_types::{Cycles, SplitMix64, VirtAddr};
+use shredlib::{GangScheduler, RequestShape, SchedulingPolicy, ServiceModel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -263,16 +265,17 @@ impl Scenario {
         RequestStream { arrivals, service }
     }
 
-    /// Builds the generator and request shred programs for the stream
+    /// Builds the generator and the request template for the stream
     /// recorded from `seed` into `library` and returns the gang scheduler
     /// with the matching service model attached.
     ///
     /// The generator is the main shred: it permanently occupies one
     /// sequencer (hence the nominal pool of seven on an eight-sequencer
-    /// machine), alternating `compute(gap)` with `shred_create(request)`.
-    /// Each request touches its slice of the session working set, computes
-    /// its recorded service demand, and every `syscall_every`-th request
-    /// issues an I/O system call.
+    /// machine), alternating `compute(gap)` with `shred_create` of the
+    /// `{name}-request` template.  Each request touches its slice of the
+    /// session working set, computes its recorded service demand, and every
+    /// `syscall_every`-th request issues an I/O system call; the scheduler
+    /// builds those ops from the service model when it admits the request.
     #[must_use]
     pub fn build(&self, library: &mut ProgramLibrary, seed: u64) -> GangScheduler {
         let stream = self.stream(seed);
@@ -280,50 +283,47 @@ impl Scenario {
     }
 
     /// Like [`Scenario::build`], but replays an already-recorded stream
-    /// (the common-random-numbers path).
+    /// (the common-random-numbers path).  Inserts exactly two programs into
+    /// `library`, whatever the stream's length.
     #[must_use]
     pub fn build_from_stream(
         &self,
         library: &mut ProgramLibrary,
         stream: &RequestStream,
     ) -> GangScheduler {
-        assert_eq!(stream.arrivals.len(), stream.service.len());
-        let mut request_refs = Vec::with_capacity(stream.service.len());
-        for (i, &demand) in stream.service.iter().enumerate() {
-            let mut b = ProgramBuilder::new(format!("{}-req{}", self.name, i));
-            for t in 0..self.touches_per_request {
-                let page = (i as u64 * self.touches_per_request + t) % self.session_pages;
-                b = b.load(VirtAddr::new(SESSION_BASE + page * PAGE_SIZE));
-            }
-            b = b.compute(demand);
-            if self.syscall_every > 0 && (i as u64).is_multiple_of(self.syscall_every) {
-                b = b.syscall(SyscallKind::Io);
-            }
-            request_refs.push(library.insert(b.build()));
-        }
-
+        let request = library.insert(ShredProgram::empty(format!("{}-request", self.name)));
         let mut generator =
             ProgramBuilder::new(format!("{}-generator", self.name)).op(Op::RegisterHandler);
         let mut prev = 0u64;
-        for (i, &arrival) in stream.arrivals.iter().enumerate() {
+        for &arrival in &stream.arrivals {
             let gap = arrival.as_u64() - prev;
             prev = arrival.as_u64();
-            generator = generator
-                .compute(Cycles::new(gap))
-                .shred_create(request_refs[i]);
+            generator = generator.compute(Cycles::new(gap)).shred_create(request);
         }
         let generator_ref = library.insert(generator.build());
-
-        let mut model =
-            ServiceModel::new(stream.arrivals.clone()).with_pool_width(self.pool_width());
-        if let Some(bound) = self.queue_bound {
-            model = model.with_queue_bound(bound);
-        }
         GangScheduler::builder()
             .policy(SchedulingPolicy::Fifo)
             .main_program(generator_ref)
-            .service(model)
+            .service(self.service_model(stream))
             .build()
+    }
+
+    /// The service model replaying `stream`: its arrivals, its service
+    /// demands with this scenario's request shape, and the pool and queue
+    /// bounds.
+    fn service_model(&self, stream: &RequestStream) -> ServiceModel {
+        let shape = RequestShape {
+            session_base: VirtAddr::new(SESSION_BASE),
+            session_pages: self.session_pages,
+            touches: self.touches_per_request,
+            syscall_every: self.syscall_every,
+        };
+        let model = ServiceModel::new(stream.arrivals.clone(), stream.service.clone(), shape)
+            .with_pool_width(self.pool_width());
+        match self.queue_bound {
+            Some(bound) => model.with_queue_bound(bound),
+            None => model,
+        }
     }
 
     /// Records the central customer stream for `seed` at the fleet's
@@ -510,12 +510,43 @@ mod tests {
     }
 
     #[test]
-    fn build_emits_one_program_per_request_plus_generator() {
-        let s = by_name("poisson").unwrap().with_requests(10);
-        let mut lib = ProgramLibrary::new();
-        let sched = s.build(&mut lib, 9);
-        assert_eq!(lib.len(), 11, "10 requests + 1 generator");
-        assert_eq!(sched.policy(), SchedulingPolicy::Fifo);
+    fn build_emits_the_generator_and_one_request_template() {
+        for requests in [10, 10_000] {
+            let s = by_name("poisson").unwrap().with_requests(requests);
+            let mut lib = ProgramLibrary::new();
+            let sched = s.build(&mut lib, 9);
+            assert_eq!(lib.len(), 2, "request template + generator at {requests}");
+            assert_eq!(sched.policy(), SchedulingPolicy::Fifo);
+        }
+    }
+
+    /// The ops the scheduler builds for request `i` are exactly the program
+    /// the builder used to emit per request.  `0..=128` covers the syscall
+    /// period (16) and the wrap of the 64-page session working set.
+    #[test]
+    fn request_ops_match_the_per_request_program() {
+        use misp_isa::SyscallKind;
+        use misp_types::PAGE_SIZE;
+
+        let s = by_name("poisson").unwrap().with_requests(129);
+        let stream = s.stream(9);
+        let model = s.service_model(&stream);
+        for (i, &demand) in stream.service.iter().enumerate() {
+            // The per-request program `build_from_stream` used to insert.
+            let mut b = ProgramBuilder::new(format!("{}-req{}", s.name, i));
+            for t in 0..s.touches_per_request {
+                let page = (i as u64 * s.touches_per_request + t) % s.session_pages;
+                b = b.load(VirtAddr::new(SESSION_BASE + page * PAGE_SIZE));
+            }
+            b = b.compute(demand);
+            if s.syscall_every > 0 && (i as u64).is_multiple_of(s.syscall_every) {
+                b = b.syscall(SyscallKind::Io);
+            }
+            let reference = b.build();
+            let ops = model.request_ops(i).expect("request data");
+            assert_eq!(ops.as_slice(), reference.items(), "request {i}");
+        }
+        assert!(model.request_ops(129).is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use misp::isa::ProgramLibrary;
 use misp::os::TimerConfig;
 use misp::sim::{FleetEngine, SimConfig, TraceConfig};
 use misp::types::Cycles;
-use misp::workloads::{LocalityProfile, Suite, Workload, WorkloadParams};
+use misp::workloads::{scenario, LocalityProfile, Suite, Workload, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -217,5 +217,48 @@ fn steady_state_step_loop_does_not_allocate_while_tracing() {
         delta <= 64,
         "traced hot loop allocated: {alloc_1x} allocations for {ops_1x} ops vs \
          {alloc_2x} for {ops_2x} ops (delta {delta})"
+    );
+}
+
+/// Builds a poisson service machine outside the measurement, runs it and
+/// returns the allocations during the run only.
+fn measured_service_run(requests: usize) -> u64 {
+    let scenario = scenario::by_name("poisson")
+        .unwrap()
+        .with_requests(requests);
+    let config = SimConfig {
+        timer: TimerConfig::new(Cycles::new(3_000_000), 10),
+        ..SimConfig::default()
+    };
+    let mut library = ProgramLibrary::new();
+    let scheduler = scenario.build(&mut library, 7);
+    let mut machine = MispMachine::new(MispTopology::uniprocessor(7).unwrap(), config, library);
+    machine.add_process(scenario.name(), Box::new(scheduler), Some(0));
+
+    let before = allocations();
+    let report = machine.run().unwrap();
+    let during = allocations() - before;
+    let completed = report.stats.service.as_ref().map_or(0, |s| s.completed);
+    assert_eq!(completed, requests as u64, "every request must complete");
+    during
+}
+
+/// Requests are data: a request's ops are built when it is admitted, into
+/// the program of a completed request whose shred has released it, so the
+/// steady state allocates nothing per request.  Doubling the stream from 2k
+/// to 4k requests must add less than one allocation per extra request (the
+/// slack is amortized container growth); a per-request name, builder or
+/// fresh program coming back would add at least one.
+#[test]
+fn service_requests_allocate_less_than_once_each() {
+    let _ = measured_service_run(500);
+
+    let at_2k = measured_service_run(2_000);
+    let at_4k = measured_service_run(4_000);
+    let per_request = at_4k.saturating_sub(at_2k) as f64 / 2_000.0;
+    assert!(
+        per_request < 1.0,
+        "service run allocated {per_request:.2} times per extra request \
+         ({at_2k} allocations at 2k requests, {at_4k} at 4k)"
     );
 }
