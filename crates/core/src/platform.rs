@@ -491,7 +491,7 @@ impl Platform for MispPlatform {
         let shred = core.create_shred(pid, thread, continuation.program(), now);
         if core.sequencers().is_idle(target) {
             core.sequencers_mut().set_current_shred(target, Some(shred));
-            if let Some(s) = core.shred_mut(shred) {
+            if let Some(mut s) = core.shred_mut(shred) {
                 s.set_status(ShredStatus::Running);
             }
             core.schedule_ready(target, arrival);

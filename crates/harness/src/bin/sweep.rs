@@ -32,52 +32,14 @@
 //! trace and metrics artifacts.  Golden files under `tests/goldens/` are
 //! regenerated with `--out`.
 
+use misp_harness::alloc_count::{self, CountingAllocator};
 use misp_harness::{artifacts, grids, run_grid_with_artifacts, SweepOptions, VerifyMode};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counting wrapper around the system allocator, feeding the `--profile`
-/// allocator totals.  Two relaxed atomic adds per allocation — noise next to
-/// the allocation itself — so it is unconditionally installed.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method delegates to `System` unchanged after bumping two
-// relaxed atomics, so `GlobalAlloc`'s layout/aliasing contract is exactly
-// `System`'s own.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards the caller's layout to `System.alloc` untouched.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: forwards the caller's layout to `System.alloc_zeroed` untouched.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    // SAFETY: forwards the caller's pointer/layout/size to `System.realloc`
-    // untouched, so the caller's obligations transfer verbatim.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // SAFETY: forwards the caller's pointer and layout to `System.dealloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
+/// Feeds the `--profile` allocator totals.  Two relaxed atomic adds and a
+/// thread-local bump per allocation — noise next to the allocation itself —
+/// so it is unconditionally installed.
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
@@ -462,12 +424,9 @@ fn main() -> ExitCode {
         eprintln!("profile: allocator (whole process)");
         eprintln!(
             "  allocations      {:>14}",
-            ALLOCATIONS.load(Ordering::Relaxed)
+            alloc_count::total_allocations()
         );
-        eprintln!(
-            "  bytes requested  {:>14}",
-            ALLOCATED_BYTES.load(Ordering::Relaxed)
-        );
+        eprintln!("  bytes requested  {:>14}", alloc_count::total_bytes());
     }
     ExitCode::SUCCESS
 }

@@ -203,7 +203,7 @@ impl GangScheduler {
 
     fn make_ready(&mut self, core: &mut EngineCore, shreds: &[ShredId], now: Cycles) {
         for &id in shreds {
-            if let Some(s) = core.shred_mut(id) {
+            if let Some(mut s) = core.shred_mut(id) {
                 s.set_status(ShredStatus::Ready);
             }
             self.queue.push(id);

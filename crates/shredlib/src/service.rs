@@ -27,9 +27,11 @@
 //! recorded service demand and one [`RequestShape`]; the scheduler builds
 //! request `n`'s few ops only when it admits request `n` (like ShredLib's `Shred_create`, which queues
 //! shared code plus per-shred state).  A finished shred releases its
-//! program, and a later admission rewrites that program in place, so the
-//! steady state allocates nothing per request and memory tracks
-//! outstanding requests rather than the stream's length.
+//! program and its cursor slot, and a later admission rewrites that program
+//! in place, so the steady state allocates nothing per request.  What still
+//! grows with the stream is small and fixed per request: the shred pool's
+//! 16-byte record, the generator's `compute` + `shred_create` pair and the
+//! scheduler's entry in its request map.
 
 use misp_isa::{Op, ProgramItem, ShredProgram, SyscallKind};
 use misp_sim::ServiceStats;

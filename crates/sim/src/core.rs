@@ -2,9 +2,10 @@
 //! runtimes.
 
 use crate::{
-    Event, EventLog, EventQueue, SequencerTable, ShredExecState, ShredPool, SimConfig, SimStats,
+    Event, EventLog, EventQueue, SequencerTable, ShredMut, ShredPool, ShredView, SimConfig,
+    SimStats,
 };
-use misp_isa::{ProgramLibrary, ProgramRef, ShredProgram};
+use misp_isa::{OwnedCursor, ProgramLibrary, ProgramRef, ShredProgram};
 use misp_mem::MemorySystem;
 use misp_os::Kernel;
 use misp_trace::TraceKind;
@@ -123,13 +124,24 @@ impl EngineCore {
 
     /// A shred by identifier.
     #[must_use]
-    pub fn shred(&self, id: ShredId) -> Option<&ShredExecState> {
+    pub fn shred(&self, id: ShredId) -> Option<ShredView<'_>> {
         self.shreds.get(id)
     }
 
-    /// Mutable access to a shred.
-    pub fn shred_mut(&mut self, id: ShredId) -> Option<&mut ShredExecState> {
+    /// A shred by identifier, for a status change.
+    pub fn shred_mut(&mut self, id: ShredId) -> Option<ShredMut<'_>> {
         self.shreds.get_mut(id)
+    }
+
+    /// The cursor-slab slot of live shred `id` (see [`ShredPool`]).
+    pub(crate) fn shred_slot(&self, id: ShredId) -> Option<usize> {
+        self.shreds.slot(id)
+    }
+
+    /// The program cursor in cursor-slab slot `slot`.
+    #[inline]
+    pub(crate) fn cursor_mut(&mut self, slot: usize) -> &mut OwnedCursor {
+        self.shreds.cursor_mut(slot)
     }
 
     /// The memory system.
@@ -225,15 +237,16 @@ impl EngineCore {
         program: Arc<ShredProgram>,
         now: Cycles,
     ) -> ShredId {
-        let id = self.shreds.create(process, thread, program, now);
+        let id = self.shreds.create(process, thread, program);
         self.log
             .record(now, SequencerId::new(0), TraceKind::ShredStart);
         id
     }
 
-    /// Marks shred `id` finished at `now`, releasing its program.
-    pub(crate) fn finish_shred(&mut self, id: ShredId, now: Cycles) {
-        self.shreds.finish(id, now);
+    /// Marks shred `id` finished, releasing its program and its cursor-slab
+    /// slot.
+    pub(crate) fn finish_shred(&mut self, id: ShredId) {
+        self.shreds.finish(id);
     }
 
     /// Takes the program of shred `id`, which has run to completion, so a
@@ -607,19 +620,18 @@ mod tests {
         let id = core.create_shred_from(pid, tid, Arc::clone(&request), Cycles::ZERO);
         assert_eq!(Arc::strong_count(&request), 2);
         assert_eq!(core.shred(id).unwrap().program_name(), "request");
-        core.finish_shred(id, Cycles::new(100));
+        core.finish_shred(id);
         assert_eq!(Arc::strong_count(&request), 1);
         let done = core.shred(id).unwrap();
         assert_eq!(done.status(), ShredStatus::Done);
-        assert_eq!(done.finished_at(), Some(Cycles::new(100)));
-        assert_eq!(done.program_name(), "", "the shared empty program");
+        assert_eq!(done.program_name(), "", "a finished shred holds no program");
 
         // A runtime may take the program back first; finishing then leaves
         // the runtime's handle as the only one.
         let id = core.create_shred_from(pid, tid, Arc::clone(&request), Cycles::ZERO);
         let taken = core.release_program(id).unwrap();
         assert!(Arc::ptr_eq(&taken, &request));
-        core.finish_shred(id, Cycles::new(200));
+        core.finish_shred(id);
         assert_eq!(
             Arc::strong_count(&request),
             2,

@@ -78,7 +78,7 @@ pub use machine::{Machine, MachineStatus, SimReport};
 pub use platform::Platform;
 pub use runtime::{Runtime, RuntimeOutcome, SingleShredRuntime};
 pub use sequencer::SequencerTable;
-pub use shred::{ShredExecState, ShredPool, ShredStatus};
+pub use shred::{ShredMut, ShredPool, ShredStatus, ShredView};
 pub use stats::{SeqUtilization, ServiceStats, SimStats};
 
 // Observability vocabulary re-exported from `misp-trace`, so engine users can

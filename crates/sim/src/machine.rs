@@ -436,11 +436,7 @@ impl<P: Platform> Machine<P> {
                     .total_misses();
             }
         }
-        let ready_shreds = core
-            .shreds()
-            .iter()
-            .filter(|s| s.status() == ShredStatus::Ready)
-            .count() as u64;
+        let ready_shreds = core.shreds().ready() as u64;
         let service_outstanding: u64 = self
             .runtimes
             .iter()
@@ -572,7 +568,7 @@ impl<P: Platform> Machine<P> {
                     self.core
                         .sequencers_mut()
                         .set_current_shred(seq, Some(shred));
-                    if let Some(s) = self.core.shred_mut(shred) {
+                    if let Some(mut s) = self.core.shred_mut(shred) {
                         s.set_status(ShredStatus::Running);
                     }
                     self.core.log_event(seq, TraceKind::ShredStart);
@@ -586,6 +582,13 @@ impl<P: Platform> Machine<P> {
             .sequencers()
             .current_shred(seq)
             .expect("just installed");
+        // The shred's cursor-slab slot is fixed while it stays installed, and
+        // every arm that could finish it returns, so it is resolved once per
+        // step and each operation is one slab lookup.
+        let slot = self
+            .core
+            .shred_slot(shred_id)
+            .expect("installed shred is live");
 
         // The macro-step loop.  `now` advances to each inline operation's
         // start time; boundary operations schedule a `SeqReady` (or finish
@@ -602,12 +605,7 @@ impl<P: Platform> Machine<P> {
             Cycles::MAX
         };
         loop {
-            let op = self
-                .core
-                .shred_mut(shred_id)
-                .expect("installed shred exists")
-                .cursor_mut()
-                .next_op();
+            let op = self.core.cursor_mut(slot).next_op();
             self.core.sequencers_mut().count_op(seq);
 
             // Local operations fall through with their completion time; every
@@ -694,7 +692,7 @@ impl<P: Platform> Machine<P> {
                             false
                         }
                         RuntimeOutcome::Block { cost } => {
-                            if let Some(s) = self.core.shred_mut(shred_id) {
+                            if let Some(mut s) = self.core.shred_mut(shred_id) {
                                 if s.status() == ShredStatus::Running {
                                     s.set_status(ShredStatus::Blocked);
                                 }
@@ -707,7 +705,7 @@ impl<P: Platform> Machine<P> {
                             false
                         }
                         RuntimeOutcome::Yield { cost } => {
-                            if let Some(s) = self.core.shred_mut(shred_id) {
+                            if let Some(mut s) = self.core.shred_mut(shred_id) {
                                 if s.status() == ShredStatus::Running {
                                     s.set_status(ShredStatus::Ready);
                                 }
@@ -720,7 +718,7 @@ impl<P: Platform> Machine<P> {
                             false
                         }
                         RuntimeOutcome::Exit { cost } => {
-                            self.core.finish_shred(shred_id, now);
+                            self.core.finish_shred(shred_id);
                             self.core.log_event(seq, TraceKind::ShredEnd);
                             self.core.sequencers_mut().set_current_shred(seq, None);
                             self.core.schedule_ready(
@@ -737,7 +735,7 @@ impl<P: Platform> Machine<P> {
                         .get_mut(pid)
                         .expect("runtime exists for running shred");
                     runtime.on_shred_halt(&mut self.core, seq, shred_id, now);
-                    self.core.finish_shred(shred_id, now);
+                    self.core.finish_shred(shred_id);
                     self.core.log_event(seq, TraceKind::ShredEnd);
                     self.core.sequencers_mut().set_current_shred(seq, None);
                     self.core.schedule_ready(seq, now + shred_context_switch);
@@ -759,12 +757,7 @@ impl<P: Platform> Machine<P> {
                     });
                 }
                 let (class, peeked_addr) = {
-                    let peeked = self
-                        .core
-                        .shred_mut(shred_id)
-                        .expect("installed shred exists")
-                        .cursor_mut()
-                        .peek_op();
+                    let peeked = self.core.cursor_mut(slot).peek_op();
                     let addr = match peeked {
                         Op::Touch { addr, .. } => Some(*addr),
                         _ => None,

@@ -10,61 +10,18 @@
 //! container growth (a retained buffer doubling once more in the longer run
 //! is O(log n) events per run, not O(ops)).
 //!
-//! Allocations are counted per thread, and each audit reads the count of the
-//! thread it runs on, so audits that the test harness runs in parallel never
-//! see each other's allocations.
+//! The allocator is `misp_harness::alloc_count`'s, which `sweep --profile`
+//! uses too.  It counts allocations per thread, and each audit reads the
+//! count of the thread it runs on, so audits that the test harness runs in
+//! parallel never see each other's allocations.
 
 use misp::core::{MispMachine, MispTopology};
+use misp::harness::alloc_count::{thread_allocations, CountingAllocator};
 use misp::isa::ProgramLibrary;
 use misp::os::TimerConfig;
 use misp::sim::{FleetEngine, SimConfig, TraceConfig};
 use misp::types::Cycles;
 use misp::workloads::{scenario, LocalityProfile, Suite, Workload, WorkloadParams};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-thread_local! {
-    // `const`-initialized, so the first touch on a thread neither allocates
-    // nor registers a destructor — safe to use from inside the allocator.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Bumps the calling thread's count.  `try_with` never allocates and is a
-/// no-op while the thread's locals are being torn down.
-fn count_allocation() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// Allocations made so far on the calling thread.
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-// SAFETY: every method forwards the caller's arguments to `System` unchanged
-// after bumping a thread-local counter that neither allocates nor panics, so
-// `GlobalAlloc`'s contract is exactly `System`'s own.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -103,9 +60,9 @@ fn measured_run_with_trace(chunks: u64, trace: TraceConfig) -> (u64, u64) {
     let mut machine = MispMachine::new(topo, config, library);
     machine.add_process(workload.name(), Box::new(scheduler), Some(0));
 
-    let before = allocations();
+    let before = thread_allocations();
     let report = machine.run().unwrap();
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
     let ops = report.stats.per_sequencer.iter().map(|s| s.ops).sum();
     (during, ops)
 }
@@ -158,9 +115,9 @@ fn measured_fleet_run(chunks: u64) -> (u64, u64) {
         fleet.add_machine(machine.into_sim_machine());
     }
 
-    let before = allocations();
+    let before = thread_allocations();
     let report = fleet.run_fleet().unwrap();
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
     let ops = report
         .reports
         .iter()
@@ -220,9 +177,22 @@ fn steady_state_step_loop_does_not_allocate_while_tracing() {
     );
 }
 
-/// Builds a poisson service machine outside the measurement, runs it and
-/// returns the allocations during the run only.
-fn measured_service_run(requests: usize) -> u64 {
+/// What one measured poisson service run left behind.
+struct ServiceRun {
+    /// Allocations during the run only.
+    allocations: u64,
+    /// Shreds ever created (the generator plus one per admitted request).
+    shreds: usize,
+    /// The shred pool's cursor-slab length after the run.
+    slab_len: usize,
+    /// The shred pool's heap bytes after the run.
+    pool_bytes: usize,
+    /// The service's high-water mark of outstanding requests.
+    max_outstanding: u64,
+}
+
+/// Builds a poisson service machine outside the measurement and runs it.
+fn measured_service_run(requests: usize) -> ServiceRun {
     let scenario = scenario::by_name("poisson")
         .unwrap()
         .with_requests(requests);
@@ -235,12 +205,22 @@ fn measured_service_run(requests: usize) -> u64 {
     let mut machine = MispMachine::new(MispTopology::uniprocessor(7).unwrap(), config, library);
     machine.add_process(scenario.name(), Box::new(scheduler), Some(0));
 
-    let before = allocations();
+    let before = thread_allocations();
     let report = machine.run().unwrap();
-    let during = allocations() - before;
-    let completed = report.stats.service.as_ref().map_or(0, |s| s.completed);
-    assert_eq!(completed, requests as u64, "every request must complete");
-    during
+    let allocations = thread_allocations() - before;
+    let service = report.stats.service.as_ref().expect("a service run");
+    assert_eq!(
+        service.completed, requests as u64,
+        "every request must complete"
+    );
+    let pool = machine.engine().core().shreds();
+    ServiceRun {
+        allocations,
+        shreds: pool.len(),
+        slab_len: pool.slab_len(),
+        pool_bytes: pool.heap_bytes(),
+        max_outstanding: service.max_outstanding,
+    }
 }
 
 /// Requests are data: a request's ops are built when it is admitted, into
@@ -253,12 +233,47 @@ fn measured_service_run(requests: usize) -> u64 {
 fn service_requests_allocate_less_than_once_each() {
     let _ = measured_service_run(500);
 
-    let at_2k = measured_service_run(2_000);
-    let at_4k = measured_service_run(4_000);
+    let at_2k = measured_service_run(2_000).allocations;
+    let at_4k = measured_service_run(4_000).allocations;
     let per_request = at_4k.saturating_sub(at_2k) as f64 / 2_000.0;
     assert!(
         per_request < 1.0,
         "service run allocated {per_request:.2} times per extra request \
          ({at_2k} allocations at 2k requests, {at_4k} at 4k)"
+    );
+}
+
+/// The shred pool holds live shreds only.  A finished shred keeps a 16-byte
+/// record and hands its cursor slot to the next shred, so the cursor slab
+/// never outgrows the peak count of live shreds (the generator plus the
+/// outstanding requests), and each extra request adds one record to the
+/// pool.  The slack on the bytes is `Vec` growth: 2 001 and 4 001 records
+/// sit in capacities of 2 048 and 4 096, and the slab may gain a few slots
+/// on the longer stream.  A pool that kept every shred's cursor would hold
+/// a slab slot per request and well over 100 bytes per extra request.
+#[test]
+fn shred_pool_footprint_tracks_live_shreds() {
+    let short = measured_service_run(2_000);
+    let long = measured_service_run(4_000);
+    for run in [&short, &long] {
+        let peak_live = run.max_outstanding as usize + 1;
+        assert!(
+            run.slab_len <= peak_live,
+            "cursor slab holds {} slots for a peak of {peak_live} live shreds \
+             ({} shreds created)",
+            run.slab_len,
+            run.shreds
+        );
+    }
+    let extra = (long.shreds - short.shreds) as f64;
+    let per_request = long.pool_bytes.saturating_sub(short.pool_bytes) as f64 / extra;
+    assert!(
+        per_request <= 16.0 * 1.1,
+        "shred pool grew {per_request:.1} bytes per extra request \
+         ({} bytes for {} shreds, {} bytes for {})",
+        short.pool_bytes,
+        short.shreds,
+        long.pool_bytes,
+        long.shreds
     );
 }
