@@ -3,9 +3,10 @@
 //!
 //! [`CountingAllocator`] wraps the system allocator.  Each allocation bumps
 //! a process-wide count and byte total (two relaxed atomic adds, read by
-//! [`total_allocations`] and [`total_bytes`]) and a count of the calling
-//! thread (read by [`thread_allocations`]).  An audit that measures its own
-//! thread never sees the allocations of tests running beside it.
+//! [`total_allocations`] and [`total_bytes`]) and a count and byte total of
+//! the calling thread (read by [`thread_allocations`] and
+//! [`thread_bytes`]).  An audit that measures its own thread never sees the
+//! allocations of tests running beside it.
 //!
 //! A binary or test opts in with
 //!
@@ -33,6 +34,7 @@ thread_local! {
     // `const`-initialized, so the first touch on a thread neither allocates
     // nor registers a destructor — safe to use from inside the allocator.
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Records one allocation of `bytes`.  `try_with` never allocates and is a
@@ -41,6 +43,7 @@ fn count(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = THREAD_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Allocations made so far by the whole process.
@@ -60,6 +63,13 @@ pub fn total_bytes() -> u64 {
 #[must_use]
 pub fn thread_allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes requested so far on the calling thread (a reallocation counts its
+/// new size).
+#[must_use]
+pub fn thread_bytes() -> u64 {
+    THREAD_BYTES.with(Cell::get)
 }
 
 // SAFETY: every method forwards the caller's arguments to `System` unchanged

@@ -224,6 +224,13 @@ impl OwnedCursor {
         }
         self.lookahead.as_ref().expect("lookahead just filled")
     }
+
+    /// Returns `true` while an operation taken by [`OwnedCursor::peek_op`]
+    /// waits for the next [`OwnedCursor::next_op`].
+    #[must_use]
+    pub fn has_peeked(&self) -> bool {
+        self.lookahead.is_some()
+    }
 }
 
 #[cfg(test)]

@@ -77,7 +77,10 @@ impl GangSchedulerBuilder {
     /// Attaches an open-loop [`ServiceModel`]: every `ShredCreate` becomes a
     /// request admission measured against the model's arrival schedule, and
     /// an admitted request's shred runs the ops the model builds for it
-    /// rather than the program the create names.
+    /// rather than the program the create names.  The main program's shred
+    /// is the generator: each of its creates that consumes an arrival
+    /// continues it with the next arrival's `compute` + `shred_create` (see
+    /// [`ServiceModel::generator`]).
     #[must_use]
     pub fn service(mut self, model: ServiceModel) -> Self {
         self.service = Some(model);
@@ -108,6 +111,7 @@ impl GangSchedulerBuilder {
             process: None,
             threads: Vec::new(),
             shreds_created: 0,
+            generator: None,
             service: self.service.map(ServiceState::new),
         }
     }
@@ -136,6 +140,9 @@ pub struct GangScheduler {
     process: Option<ProcessId>,
     threads: Vec<OsThreadId>,
     shreds_created: u64,
+    /// The shred the service model continues: the main shred, when a
+    /// service model is attached.
+    generator: Option<ShredId>,
     service: Option<ServiceState>,
 }
 
@@ -168,6 +175,15 @@ impl GangScheduler {
     #[must_use]
     pub fn max_queue_depth(&self) -> usize {
         self.queue.max_depth()
+    }
+
+    /// Length of the service model's request table, which is indexed by
+    /// cursor-slab slot: it never exceeds
+    /// [`ShredPool::slab_len`](misp_sim::ShredPool::slab_len).  Zero
+    /// without a service model.
+    #[must_use]
+    pub fn request_table_len(&self) -> usize {
+        self.service.as_ref().map_or(0, ServiceState::table_len)
     }
 
     /// Wakes the idle sequencers of every thread of the process.  Threads
@@ -230,7 +246,10 @@ impl Runtime for GangScheduler {
 
         if first_thread {
             if let Some(main) = self.main_program {
-                self.create_and_queue(core, thread, library_program(core, main), now);
+                let shred = self.create_and_queue(core, thread, library_program(core, main), now);
+                if self.service.is_some() {
+                    self.generator = Some(shred);
+                }
             }
             let initial = std::mem::take(&mut self.initial_shreds);
             for program in initial {
@@ -257,10 +276,11 @@ impl Runtime for GangScheduler {
             match core.shred(candidate).map(|s| s.status()) {
                 Some(ShredStatus::Ready) => {
                     if let Some(service) = &mut self.service {
-                        if !service.may_dispatch(candidate) {
+                        let slot = core.shred_slot(candidate).expect("a ready shred is live");
+                        if !service.may_dispatch(candidate, slot) {
                             return None;
                         }
-                        service.dispatched(candidate);
+                        service.dispatched(candidate, slot);
                     }
                     let popped = self.queue.pop();
                     debug_assert_eq!(popped, Some(candidate));
@@ -292,6 +312,9 @@ impl Runtime for GangScheduler {
                     Some(service) => service.admit(now),
                     None => Admission::Untracked,
                 };
+                if admission != Admission::Untracked && self.generator == Some(shred) {
+                    self.continue_generator(core, shred, *program);
+                }
                 if admission == Admission::Drop {
                     return RuntimeOutcome::Continue { cost: lock_cost };
                 }
@@ -306,7 +329,8 @@ impl Runtime for GangScheduler {
                 let created = self.create_and_queue(core, thread, program, now);
                 if let (Some(service), Admission::Admit { index }) = (&mut self.service, admission)
                 {
-                    service.register(created, index);
+                    let slot = core.shred_slot(created).expect("a new shred is live");
+                    service.register(created, slot, index);
                 }
                 self.wake_all(core, now);
                 RuntimeOutcome::Continue { cost: lock_cost }
@@ -411,12 +435,35 @@ impl GangScheduler {
     /// under head-of-line gating.
     fn complete_request(&mut self, core: &mut EngineCore, shred: ShredId, now: Cycles) {
         if let Some(service) = &mut self.service {
-            if service.complete(shred, now) {
+            let slot = core.shred_slot(shred).expect("an ending shred is live");
+            if service.complete(shred, slot, now) {
                 if let Some(program) = core.release_program(shred) {
                     service.reclaim(program);
                 }
                 self.wake_all(core, now);
             }
+        }
+    }
+
+    /// Hands the generator shred the next arrival's `compute` +
+    /// `shred_create` of `request` once its create consumed an arrival.
+    /// After the last arrival nothing is installed and the generator runs
+    /// on to its end.  Sound here because the engine never leaves a peeked
+    /// operation pending when it calls the runtime.
+    fn continue_generator(
+        &mut self,
+        core: &mut EngineCore,
+        generator: ShredId,
+        request: ProgramRef,
+    ) {
+        let Some(service) = &mut self.service else {
+            return;
+        };
+        if let Some(next) = service.continuation(request) {
+            let old = core
+                .continue_shred(generator, next)
+                .expect("the generator is live while it creates");
+            service.reclaim_generator(old);
         }
     }
 
@@ -642,21 +689,21 @@ mod tests {
     /// Builds an open-loop generator: the main shred alternates
     /// `compute(gap)` and `shred_create(request)`, so requests are created at
     /// the scheduled arrival times (plus queue-lock costs, the open-loop
-    /// drift).  The `request` template the creates name is empty; each
-    /// admitted request runs the model's `Compute(service_cycles)` instead.
-    /// Returns the library and the model.
+    /// drift).  The library holds the model's generator, which carries the
+    /// first pair only; the scheduler continues it pair by pair.  The
+    /// `request` template the creates name is empty; each admitted request
+    /// runs the model's `Compute(service_cycles)` instead.  Returns the
+    /// library and the model.
     fn service_library(gaps: &[u64], service_cycles: u64) -> (ProgramLibrary, ServiceModel) {
         let mut lib = ProgramLibrary::new();
         let request = lib.insert(misp_isa::ShredProgram::empty("request"));
-        let mut generator = ProgramBuilder::new("generator").op(Op::RegisterHandler);
-        let mut arrivals = Vec::new();
-        let mut at = 0u64;
-        for &gap in gaps {
-            at += gap;
-            arrivals.push(Cycles::new(at));
-            generator = generator.compute(Cycles::new(gap)).shred_create(request);
-        }
-        lib.insert(generator.build());
+        let arrivals = gaps
+            .iter()
+            .scan(0u64, |at, &gap| {
+                *at += gap;
+                Some(Cycles::new(*at))
+            })
+            .collect();
         let compute_only = crate::RequestShape {
             session_base: VirtAddr::new(0),
             session_pages: 0,
@@ -664,7 +711,9 @@ mod tests {
             syscall_every: 0,
         };
         let demands = vec![Cycles::new(service_cycles); gaps.len()];
-        (lib, ServiceModel::new(arrivals, demands, compute_only))
+        let model = ServiceModel::new(arrivals, demands, compute_only);
+        lib.insert(model.generator("generator", request));
+        (lib, model)
     }
 
     #[test]

@@ -23,19 +23,26 @@
 //! and pool shapes: common random numbers, giving paired low-variance
 //! comparisons.
 //!
-//! A request is data, not a program.  The model carries each request's
-//! recorded service demand and one [`RequestShape`]; the scheduler builds
-//! request `n`'s few ops only when it admits request `n` (like ShredLib's `Shred_create`, which queues
-//! shared code plus per-shred state).  A finished shred releases its
-//! program and its cursor slot, and a later admission rewrites that program
-//! in place, so the steady state allocates nothing per request.  What still
-//! grows with the stream is small and fixed per request: the shred pool's
-//! 16-byte record, the generator's `compute` + `shred_create` pair and the
-//! scheduler's entry in its request map.
+//! A request is data, not a program, and so is the generator.  The model
+//! carries each request's recorded service demand and one [`RequestShape`];
+//! the scheduler builds request `n`'s few ops only when it admits request
+//! `n` (like ShredLib's `Shred_create`, which queues shared code plus
+//! per-shred state).  The generator program that drives the stream
+//! ([`ServiceModel::generator`]) holds only the first arrival's
+//! `compute(gap)` + `shred_create` pair; each create that consumes arrival
+//! `i` continues the generator shred with the pair of arrival `i + 1`.  A
+//! finished request releases its program and its cursor slot, the
+//! generator's two-item continuations alternate between two buffers, and
+//! every such program is rewritten in place, so the steady state allocates
+//! nothing per request.  The scheduler's table of tracked requests is
+//! indexed by the shreds' cursor-slab slots, so it is as long as the peak
+//! number of live shreds.  What still grows with the stream is the shred
+//! pool's 16-byte record per created shred and the model's arrival and
+//! demand, 16 bytes per request.
 
-use misp_isa::{Op, ProgramItem, ShredProgram, SyscallKind};
+use misp_isa::{Op, ProgramItem, ProgramRef, RuntimeOp, ShredProgram, SyscallKind};
 use misp_sim::ServiceStats;
-use misp_types::{ArenaMap, Cycles, ShredId, VirtAddr, PAGE_SIZE};
+use misp_types::{Cycles, ShredId, VirtAddr, PAGE_SIZE};
 use std::sync::Arc;
 
 /// Cap on the recorded queue-depth time series; recording stops (counters
@@ -86,6 +93,15 @@ impl RequestShape {
     }
 }
 
+/// Appends the generator's ops for one arrival: wait `gap` cycles, then
+/// create a shred naming the `request` template.
+fn push_arrival(gap: Cycles, request: ProgramRef, ops: &mut Vec<ProgramItem>) {
+    ops.push(ProgramItem::Op(Op::Compute(gap)));
+    ops.push(ProgramItem::Op(Op::Runtime(RuntimeOp::ShredCreate {
+        program: request,
+    })));
+}
+
 /// A recorded open-loop request schedule plus service-system shape.
 ///
 /// `arrivals[n]` is the scheduled arrival cycle of the `n`-th request and
@@ -111,14 +127,20 @@ impl ServiceModel {
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals` and `demands` differ in length, or if `shape`
-    /// asks for touches in an empty session working set.
+    /// Panics if `arrivals` and `demands` differ in length, if `arrivals`
+    /// ever decreases (the generator waits the difference of adjacent
+    /// arrivals), or if `shape` asks for touches in an empty session
+    /// working set.
     #[must_use]
     pub fn new(arrivals: Vec<Cycles>, demands: Vec<Cycles>, shape: RequestShape) -> Self {
         assert_eq!(
             demands.len(),
             arrivals.len(),
             "one service demand per arrival"
+        );
+        assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrivals must not decrease"
         );
         assert!(
             shape.touches == 0 || shape.session_pages > 0,
@@ -142,6 +164,22 @@ impl ServiceModel {
         let mut ops = Vec::with_capacity(self.shape.op_count(index));
         self.shape.push_ops(index, demand, &mut ops);
         Some(ops)
+    }
+
+    /// The generator program that drives this model from the main shred of
+    /// a [`GangScheduler`](crate::GangScheduler): `RegisterHandler`, then
+    /// `compute(arrivals[0])` and a `shred_create` of the `request`
+    /// template.  It has the same few items whatever the stream's length:
+    /// the scheduler continues the generator after each create with the
+    /// next arrival's gap and create.  An empty stream gives a generator
+    /// that only registers the handler.
+    #[must_use]
+    pub fn generator(&self, name: impl Into<String>, request: ProgramRef) -> ShredProgram {
+        let mut ops = vec![ProgramItem::Op(Op::RegisterHandler)];
+        if let Some(&first) = self.arrivals.first() {
+            push_arrival(first, request, &mut ops);
+        }
+        ShredProgram::from_items(name, ops)
     }
 
     /// Bounds the number of requests in service at once (M/M/k pool shape).
@@ -201,6 +239,15 @@ pub(crate) enum Admission {
     Untracked,
 }
 
+/// A tracked request in the request table: the shred serving it, its
+/// arrival index, and whether it has started service.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    shred: ShredId,
+    index: usize,
+    started: bool,
+}
+
 /// Live bookkeeping the gang scheduler keeps while driving a
 /// [`ServiceModel`].
 #[derive(Debug)]
@@ -208,8 +255,10 @@ pub(crate) struct ServiceState {
     model: ServiceModel,
     /// Index of the next arrival to admit or drop.
     next_arrival: usize,
-    /// Tracked request shreds: shred → (arrival index, started service?).
-    requests: ArenaMap<ShredId, (usize, bool)>,
+    /// Tracked requests, indexed by their shreds' cursor-slab slots.  An
+    /// entry matches only the shred it stores: a slot reused by a later
+    /// shred never aliases an old request.
+    requests: Vec<Option<Request>>,
     /// Requests currently holding a pool slot.
     in_service: usize,
     /// Requests admitted and not yet completed.
@@ -218,6 +267,9 @@ pub(crate) struct ServiceState {
     /// Programs of completed requests, rewritten in place for later
     /// admissions once their shreds have released them.
     spare: Vec<Arc<ShredProgram>>,
+    /// The generator program the last continuation replaced, rewritten in
+    /// place for the next one.
+    spare_generator: Option<Arc<ShredProgram>>,
 }
 
 impl ServiceState {
@@ -225,11 +277,12 @@ impl ServiceState {
         ServiceState {
             model,
             next_arrival: 0,
-            requests: ArenaMap::new(),
+            requests: Vec::new(),
             in_service: 0,
             outstanding: 0,
             stats: ServiceStats::default(),
             spare: Vec::new(),
+            spare_generator: None,
         }
     }
 
@@ -289,36 +342,91 @@ impl ServiceState {
         self.spare.push(program);
     }
 
-    /// Registers the shred created for an admitted arrival.
-    pub(crate) fn register(&mut self, shred: ShredId, index: usize) {
-        self.requests.insert(shred, (index, false));
+    /// The generator's next stretch after a create consumed the latest
+    /// arrival: `compute` up to the next arrival, then `shred_create` of
+    /// `request`.  `None` once the last arrival is consumed.  The program
+    /// the previous continuation replaced is rewritten in place, so after
+    /// the first two the continuations allocate nothing.
+    pub(crate) fn continuation(&mut self, request: ProgramRef) -> Option<Arc<ShredProgram>> {
+        let next = self.next_arrival;
+        if next == 0 || next >= self.model.arrivals.len() {
+            return None;
+        }
+        let gap = self.model.arrivals[next] - self.model.arrivals[next - 1];
+        if let Some(mut program) = self.spare_generator.take() {
+            if let Some(reusable) = Arc::get_mut(&mut program) {
+                let ops = reusable.items_mut();
+                ops.clear();
+                push_arrival(gap, request, ops);
+                return Some(program);
+            }
+        }
+        let mut ops = Vec::with_capacity(2);
+        push_arrival(gap, request, &mut ops);
+        Some(Arc::new(ShredProgram::from_items(String::new(), ops)))
     }
 
-    /// Whether `shred` may be dispatched right now.  Untracked shreds (the
-    /// generator, joiners) always may; a tracked request that has not yet
-    /// started must find a free pool slot.
-    pub(crate) fn may_dispatch(&self, shred: ShredId) -> bool {
-        match (self.requests.get(shred), self.model.pool_width) {
-            (Some((_, false)), Some(width)) => self.in_service < width,
+    /// Keeps the generator program a continuation replaced, for reuse by
+    /// the next one.
+    pub(crate) fn reclaim_generator(&mut self, program: Arc<ShredProgram>) {
+        self.spare_generator = Some(program);
+    }
+
+    /// The tracked request of live `shred` in cursor-slab slot `slot`.
+    fn request(&self, shred: ShredId, slot: usize) -> Option<&Request> {
+        self.requests
+            .get(slot)?
+            .as_ref()
+            .filter(|r| r.shred == shred)
+    }
+
+    /// Registers the shred created for an admitted arrival; `slot` is its
+    /// cursor-slab slot.
+    pub(crate) fn register(&mut self, shred: ShredId, slot: usize, index: usize) {
+        if slot >= self.requests.len() {
+            self.requests.resize(slot + 1, None);
+        }
+        self.requests[slot] = Some(Request {
+            shred,
+            index,
+            started: false,
+        });
+    }
+
+    /// Whether `shred`, in cursor-slab slot `slot`, may be dispatched right
+    /// now.  Untracked shreds (the generator, joiners) always may; a
+    /// tracked request that has not yet started must find a free pool
+    /// slot.
+    // lint: no-alloc
+    pub(crate) fn may_dispatch(&self, shred: ShredId, slot: usize) -> bool {
+        match (self.request(shred, slot), self.model.pool_width) {
+            (Some(r), Some(width)) if !r.started => self.in_service < width,
             _ => true,
         }
     }
 
-    /// Marks `shred` as dispatched (idempotent for re-dispatch after yield).
-    pub(crate) fn dispatched(&mut self, shred: ShredId) {
-        if let Some((_, started)) = self.requests.get_mut(shred) {
-            if !*started {
-                *started = true;
+    /// Marks `shred`, in cursor-slab slot `slot`, as dispatched (idempotent
+    /// for re-dispatch after yield).
+    // lint: no-alloc
+    pub(crate) fn dispatched(&mut self, shred: ShredId, slot: usize) {
+        if let Some(Some(r)) = self.requests.get_mut(slot) {
+            if r.shred == shred && !r.started {
+                r.started = true;
                 self.in_service += 1;
             }
         }
     }
 
-    /// Completes `shred` if it is a tracked request, recording its latency
-    /// from the scheduled arrival.  Returns `true` when a pool slot was
-    /// freed (the caller should wake idle sequencers).
-    pub(crate) fn complete(&mut self, shred: ShredId, now: Cycles) -> bool {
-        let Some((index, started)) = self.requests.remove(shred) else {
+    /// Completes `shred`, in cursor-slab slot `slot`, if it is a tracked
+    /// request, recording its latency from the scheduled arrival.  Returns
+    /// `true` when a pool slot was freed (the caller should wake idle
+    /// sequencers).
+    // lint: no-alloc
+    pub(crate) fn complete(&mut self, shred: ShredId, slot: usize, now: Cycles) -> bool {
+        let Some(entry) = self.requests.get_mut(slot) else {
+            return false;
+        };
+        let Some(Request { index, started, .. }) = entry.take_if(|r| r.shred == shred) else {
             return false;
         };
         if started {
@@ -332,6 +440,12 @@ impl ServiceState {
             .record(now.saturating_sub(scheduled).as_u64());
         self.sample_depth(now);
         true
+    }
+
+    /// Length of the request table: at most the peak number of live
+    /// shreds, whatever the stream's length.
+    pub(crate) fn table_len(&self) -> usize {
+        self.requests.len()
     }
 
     pub(crate) fn stats(&self) -> &ServiceStats {
@@ -376,12 +490,12 @@ mod tests {
     fn queue_bound_drops_but_still_consumes_the_arrival() {
         let mut st = ServiceState::new(model(3).with_queue_bound(1));
         assert_eq!(st.admit(Cycles::new(0)), Admission::Admit { index: 0 });
-        st.register(ShredId::new(1), 0);
+        st.register(ShredId::new(1), 1, 0);
         // Outstanding is 1 >= bound: the second arrival is dropped...
         assert_eq!(st.admit(Cycles::new(100)), Admission::Drop);
         assert_eq!(st.stats().dropped, 1);
         // ...and completing the first frees room for the *third* arrival.
-        assert!(st.complete(ShredId::new(1), Cycles::new(150)));
+        assert!(st.complete(ShredId::new(1), 1, Cycles::new(150)));
         assert_eq!(st.admit(Cycles::new(200)), Admission::Admit { index: 2 });
     }
 
@@ -389,16 +503,16 @@ mod tests {
     fn pool_width_gates_dispatch_head_of_line() {
         let mut st = ServiceState::new(model(2).with_pool_width(1));
         assert_eq!(st.admit(Cycles::new(0)), Admission::Admit { index: 0 });
-        st.register(ShredId::new(1), 0);
+        st.register(ShredId::new(1), 1, 0);
         assert_eq!(st.admit(Cycles::new(100)), Admission::Admit { index: 1 });
-        st.register(ShredId::new(2), 1);
-        assert!(st.may_dispatch(ShredId::new(1)));
-        st.dispatched(ShredId::new(1));
-        assert!(!st.may_dispatch(ShredId::new(2)), "pool of one is full");
+        st.register(ShredId::new(2), 2, 1);
+        assert!(st.may_dispatch(ShredId::new(1), 1));
+        st.dispatched(ShredId::new(1), 1);
+        assert!(!st.may_dispatch(ShredId::new(2), 2), "pool of one is full");
         // Untracked shreds (the generator) are never gated.
-        assert!(st.may_dispatch(ShredId::new(9)));
-        assert!(st.complete(ShredId::new(1), Cycles::new(500)));
-        assert!(st.may_dispatch(ShredId::new(2)), "slot freed");
+        assert!(st.may_dispatch(ShredId::new(9), 0));
+        assert!(st.complete(ShredId::new(1), 1, Cycles::new(500)));
+        assert!(st.may_dispatch(ShredId::new(2), 2), "slot freed");
     }
 
     #[test]
@@ -407,9 +521,9 @@ mod tests {
         // The generator runs late: admission at 40 for an arrival scheduled
         // at 0; completion at 250 must record 250, not 210.
         assert_eq!(st.admit(Cycles::new(40)), Admission::Admit { index: 0 });
-        st.register(ShredId::new(1), 0);
-        st.dispatched(ShredId::new(1));
-        assert!(st.complete(ShredId::new(1), Cycles::new(250)));
+        st.register(ShredId::new(1), 1, 0);
+        st.dispatched(ShredId::new(1), 1);
+        assert!(st.complete(ShredId::new(1), 1, Cycles::new(250)));
         assert_eq!(st.stats().latency.max(), 250);
         assert_eq!(st.stats().completed, 1);
     }
@@ -452,6 +566,92 @@ mod tests {
         assert_eq!(Arc::as_ptr(&third), reused);
         assert_eq!(third.items(), st.model.request_ops(2).unwrap().as_slice());
         assert_eq!(first.items(), st.model.request_ops(0).unwrap().as_slice());
+    }
+
+    #[test]
+    fn a_reused_slot_does_not_alias_the_old_request() {
+        let mut st = ServiceState::new(model(2).with_pool_width(1));
+        assert_eq!(st.admit(Cycles::new(0)), Admission::Admit { index: 0 });
+        st.register(ShredId::new(1), 1, 0);
+        st.dispatched(ShredId::new(1), 1);
+        // Shred 7 sits in slot 1 as far as a stale caller knows: it is not
+        // the request stored there, so it is neither gated nor completed.
+        assert!(st.may_dispatch(ShredId::new(7), 1));
+        st.dispatched(ShredId::new(7), 1);
+        assert!(!st.complete(ShredId::new(7), 1, Cycles::new(10)));
+        assert!(st.complete(ShredId::new(1), 1, Cycles::new(20)));
+        // Slot 1 is free again and serves the next request.
+        assert_eq!(st.admit(Cycles::new(100)), Admission::Admit { index: 1 });
+        st.register(ShredId::new(2), 1, 1);
+        assert!(st.may_dispatch(ShredId::new(2), 1));
+        assert!(!st.complete(ShredId::new(1), 1, Cycles::new(30)));
+        assert_eq!(st.table_len(), 2, "the table is as long as the slab");
+        assert_eq!(st.stats().completed, 1);
+    }
+
+    #[test]
+    fn the_generator_starts_with_the_first_arrival_only() {
+        let request = ProgramRef::new(0);
+        let create = ProgramItem::Op(Op::Runtime(RuntimeOp::ShredCreate { program: request }));
+        let generator = model(5).generator("gen", request);
+        assert_eq!(generator.name(), "gen");
+        assert_eq!(
+            generator.items(),
+            [
+                ProgramItem::Op(Op::RegisterHandler),
+                ProgramItem::Op(Op::Compute(Cycles::new(0))),
+                create,
+            ]
+        );
+        let empty = model(0).generator("gen", request);
+        assert_eq!(empty.items(), [ProgramItem::Op(Op::RegisterHandler)]);
+    }
+
+    #[test]
+    fn continuations_follow_the_arrival_gaps_and_alternate_two_buffers() {
+        let request = ProgramRef::new(3);
+        let pair = |gap: u64| {
+            vec![
+                ProgramItem::Op(Op::Compute(Cycles::new(gap))),
+                ProgramItem::Op(Op::Runtime(RuntimeOp::ShredCreate { program: request })),
+            ]
+        };
+        let mut st = ServiceState::new(
+            ServiceModel::new(
+                [5, 25, 25, 70].map(Cycles::new).to_vec(),
+                vec![Cycles::new(1); 4],
+                shape(),
+            )
+            .with_queue_bound(1),
+        );
+        assert!(st.continuation(request).is_none(), "nothing consumed yet");
+        // The generator shred's library program, still shared.
+        let library = Arc::new(model(1).generator("gen", request));
+        st.admit(Cycles::new(5));
+        let first = st.continuation(request).unwrap();
+        assert_eq!(first.items(), pair(20));
+        st.reclaim_generator(Arc::clone(&library));
+        // A drop consumes the arrival too.
+        assert_eq!(st.admit(Cycles::new(25)), Admission::Drop);
+        let second = st.continuation(request).unwrap();
+        assert_eq!(second.items(), pair(0), "equal arrivals wait nothing");
+        assert!(
+            !Arc::ptr_eq(&second, &library),
+            "a shared program is not reused"
+        );
+        // `first` comes back unshared once `second` replaces it.
+        let reused = Arc::as_ptr(&first);
+        st.reclaim_generator(first);
+        assert_eq!(st.admit(Cycles::new(25)), Admission::Drop);
+        let third = st.continuation(request).unwrap();
+        assert_eq!(Arc::as_ptr(&third), reused, "rewritten in place");
+        assert_eq!(third.items(), pair(45));
+        st.reclaim_generator(second);
+        assert_eq!(st.admit(Cycles::new(70)), Admission::Drop);
+        assert!(
+            st.continuation(request).is_none(),
+            "the last arrival is consumed"
+        );
     }
 
     #[test]

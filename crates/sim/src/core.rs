@@ -133,8 +133,11 @@ impl EngineCore {
         self.shreds.get_mut(id)
     }
 
-    /// The cursor-slab slot of live shred `id` (see [`ShredPool`]).
-    pub(crate) fn shred_slot(&self, id: ShredId) -> Option<usize> {
+    /// The cursor-slab slot of live shred `id` (see [`ShredPool`]), or
+    /// `None` once it has finished.  Slots are reused, so a runtime that
+    /// keys a table by slot also stores the id it expects there.
+    #[must_use]
+    pub fn shred_slot(&self, id: ShredId) -> Option<usize> {
         self.shreds.slot(id)
     }
 
@@ -247,6 +250,19 @@ impl EngineCore {
     /// slot.
     pub(crate) fn finish_shred(&mut self, id: ShredId) {
         self.shreds.finish(id);
+    }
+
+    /// Restarts live shred `id` at the start of `program` and returns the
+    /// program it was running (see [`ShredPool::continue_at`]): a runtime
+    /// that builds a long-running shred's code piece by piece installs the
+    /// next piece from inside [`Runtime::on_runtime_op`](crate::Runtime),
+    /// where no peeked operation is pending.
+    pub fn continue_shred(
+        &mut self,
+        id: ShredId,
+        program: Arc<ShredProgram>,
+    ) -> Option<Arc<ShredProgram>> {
+        self.shreds.continue_at(id, program)
     }
 
     /// Takes the program of shred `id`, which has run to completion, so a

@@ -236,6 +236,32 @@ impl ShredPool {
         Some(taken.into_program())
     }
 
+    /// Restarts live shred `id`'s cursor, in the same slab slot, at the
+    /// start of `program`, and returns the program it was running: the way
+    /// a runtime hands a running shred its next stretch of code.  Returns
+    /// `None` for an unknown or finished shred.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor holds a peeked operation, which the restart
+    /// would drop.  The engine peeks only after an inline operation, so a
+    /// runtime op handler never sees one pending.
+    // lint: no-alloc
+    pub fn continue_at(
+        &mut self,
+        id: ShredId,
+        program: Arc<ShredProgram>,
+    ) -> Option<Arc<ShredProgram>> {
+        let slot = self.slot(id)?;
+        let cursor = &mut self.cursors[slot];
+        assert!(
+            !cursor.has_peeked(),
+            "a shred with a peeked operation cannot be continued"
+        );
+        let old = std::mem::replace(cursor, OwnedCursor::new(program));
+        Some(old.into_program())
+    }
+
     /// Looks up a shred.
     #[must_use]
     pub fn get(&self, id: ShredId) -> Option<ShredView<'_>> {
@@ -319,7 +345,7 @@ impl ShredPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use misp_isa::ProgramBuilder;
+    use misp_isa::{Op, ProgramBuilder};
     use misp_types::Cycles;
 
     fn program(name: &str) -> Arc<ShredProgram> {
@@ -396,6 +422,33 @@ mod tests {
         assert_eq!(pool.get(b).unwrap().program_name(), "b");
         assert_eq!(pool.get(c).unwrap().program_name(), "c");
         assert!(pool.release(a).is_none(), "a finished shred holds nothing");
+    }
+
+    #[test]
+    fn continued_shred_keeps_its_slot_and_runs_the_new_program() {
+        let mut pool = ShredPool::new();
+        let first = program("first");
+        let id = pool.create(ProcessId::new(0), OsThreadId::new(0), Arc::clone(&first));
+        let slot = pool.slot(id).unwrap();
+        assert_eq!(pool.cursor_mut(slot).next_op(), Op::Compute(Cycles::new(1)));
+        let next = Arc::new(ProgramBuilder::new("next").compute(Cycles::new(5)).build());
+        let old = pool.continue_at(id, next).unwrap();
+        assert!(Arc::ptr_eq(&old, &first), "the old program is handed back");
+        assert_eq!(pool.slot(id), Some(slot), "same slab slot");
+        assert_eq!(pool.cursor_mut(slot).next_op(), Op::Compute(Cycles::new(5)));
+        assert_eq!(pool.cursor_mut(slot).next_op(), Op::Halt);
+        pool.finish(id);
+        assert!(pool.continue_at(id, program("late")).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "peeked operation")]
+    fn a_peeked_cursor_cannot_be_continued() {
+        let mut pool = ShredPool::new();
+        let id = pool.create(ProcessId::new(0), OsThreadId::new(0), program("p"));
+        let slot = pool.slot(id).unwrap();
+        let _ = pool.cursor_mut(slot).peek_op();
+        let _ = pool.continue_at(id, program("q"));
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! to the service pool's capacity, and the shape of each request (service
 //! time, session working-set touches, occasional system calls).  From a seed
 //! it records a [`RequestStream`] — the explicit list of arrival cycles and
-//! per-request service times — and builds two programs, the generator and
-//! one request template, plus a [`GangScheduler`] carrying the matching
-//! [`shredlib::ServiceModel`].  Requests are data: the model holds the
-//! stream's service demands and the [`RequestShape`], and the scheduler
-//! builds each request's ops only when it admits that request.
+//! per-request service times — and builds two programs of fixed size, the
+//! generator and one request template, plus a [`GangScheduler`] carrying
+//! the matching [`shredlib::ServiceModel`].  Requests and the generator's
+//! schedule are data: the model holds the stream's arrivals, service
+//! demands and the [`RequestShape`]; the scheduler builds each request's
+//! ops when it admits that request, and the generator's next
+//! `compute(gap)` + `shred_create` when the previous create is consumed.
 //!
 //! # Common random numbers
 //!
@@ -37,7 +39,7 @@
 //! ```
 
 use misp_core::{FleetTopology, LoadBalancerPolicy};
-use misp_isa::{Op, ProgramBuilder, ProgramLibrary, ShredProgram};
+use misp_isa::{ProgramLibrary, ShredProgram};
 use misp_types::{Cycles, SplitMix64, VirtAddr};
 use shredlib::{GangScheduler, RequestShape, SchedulingPolicy, ServiceModel};
 use std::cmp::Reverse;
@@ -271,11 +273,14 @@ impl Scenario {
     ///
     /// The generator is the main shred: it permanently occupies one
     /// sequencer (hence the nominal pool of seven on an eight-sequencer
-    /// machine), alternating `compute(gap)` with `shred_create` of the
-    /// `{name}-request` template.  Each request touches its slice of the
-    /// session working set, computes its recorded service demand, and every
-    /// `syscall_every`-th request issues an I/O system call; the scheduler
-    /// builds those ops from the service model when it admits the request.
+    /// machine) and alternates `compute(gap)` with `shred_create` of the
+    /// `{name}-request` template.  Its program holds only the first pair
+    /// (see [`ServiceModel::generator`]); the scheduler continues it with
+    /// the next pair each time a create consumes an arrival.  Each request
+    /// touches its slice of the session working set, computes its recorded
+    /// service demand, and every `syscall_every`-th request issues an I/O
+    /// system call; the scheduler builds those ops from the service model
+    /// when it admits the request.
     #[must_use]
     pub fn build(&self, library: &mut ProgramLibrary, seed: u64) -> GangScheduler {
         let stream = self.stream(seed);
@@ -284,7 +289,14 @@ impl Scenario {
 
     /// Like [`Scenario::build`], but replays an already-recorded stream
     /// (the common-random-numbers path).  Inserts exactly two programs into
-    /// `library`, whatever the stream's length.
+    /// `library`, of a size fixed whatever the stream's length: a request
+    /// template with no ops and a generator of at most three items (only
+    /// `RegisterHandler` for an empty stream).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream's arrivals decrease or its lengths differ (see
+    /// [`ServiceModel::new`]).
     #[must_use]
     pub fn build_from_stream(
         &self,
@@ -292,26 +304,26 @@ impl Scenario {
         stream: &RequestStream,
     ) -> GangScheduler {
         let request = library.insert(ShredProgram::empty(format!("{}-request", self.name)));
-        let mut generator =
-            ProgramBuilder::new(format!("{}-generator", self.name)).op(Op::RegisterHandler);
-        let mut prev = 0u64;
-        for &arrival in &stream.arrivals {
-            let gap = arrival.as_u64() - prev;
-            prev = arrival.as_u64();
-            generator = generator.compute(Cycles::new(gap)).shred_create(request);
-        }
-        let generator_ref = library.insert(generator.build());
+        let model = self.service_model(stream);
+        let generator =
+            library.insert(model.generator(format!("{}-generator", self.name), request));
         GangScheduler::builder()
             .policy(SchedulingPolicy::Fifo)
-            .main_program(generator_ref)
-            .service(self.service_model(stream))
+            .main_program(generator)
+            .service(model)
             .build()
     }
 
     /// The service model replaying `stream`: its arrivals, its service
     /// demands with this scenario's request shape, and the pool and queue
-    /// bounds.
-    fn service_model(&self, stream: &RequestStream) -> ServiceModel {
+    /// bounds.  [`Scenario::build_from_stream`] attaches this model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream's arrivals decrease or its lengths differ (see
+    /// [`ServiceModel::new`]).
+    #[must_use]
+    pub fn service_model(&self, stream: &RequestStream) -> ServiceModel {
         let shape = RequestShape {
             session_base: VirtAddr::new(SESSION_BASE),
             session_pages: self.session_pages,
@@ -516,8 +528,21 @@ mod tests {
             let mut lib = ProgramLibrary::new();
             let sched = s.build(&mut lib, 9);
             assert_eq!(lib.len(), 2, "request template + generator at {requests}");
+            let ops: u64 = lib.iter().map(|(_, p)| p.flat_len()).sum();
+            assert_eq!(ops, 5, "program ops are constant in the stream length");
             assert_eq!(sched.policy(), SchedulingPolicy::Fifo);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must not decrease")]
+    fn a_decreasing_stream_fails_at_build_time() {
+        let s = by_name("poisson").unwrap();
+        let stream = RequestStream {
+            arrivals: [3_000, 1_000].map(Cycles::new).to_vec(),
+            service: vec![Cycles::new(1_000); 2],
+        };
+        let _ = s.build_from_stream(&mut ProgramLibrary::new(), &stream);
     }
 
     /// The ops the scheduler builds for request `i` are exactly the program
@@ -525,7 +550,7 @@ mod tests {
     /// period (16) and the wrap of the 64-page session working set.
     #[test]
     fn request_ops_match_the_per_request_program() {
-        use misp_isa::SyscallKind;
+        use misp_isa::{ProgramBuilder, SyscallKind};
         use misp_types::PAGE_SIZE;
 
         let s = by_name("poisson").unwrap().with_requests(129);

@@ -1,10 +1,18 @@
 //! Integration tests of the open-loop request-serving scenarios: common
 //! random numbers across the sweep harness, the service-metrics section of
-//! the results schema, and order-independence of histogram merging.
+//! the results schema, order-independence of histogram merging, and the
+//! equivalence of the continued generator with the up-front one.
 
+use misp::core::{FleetTopology, LoadBalancerPolicy, MispMachine, MispTopology};
 use misp::harness::{grids, run_grid, SweepOptions, VerifyMode};
-use misp::types::Histogram;
-use misp::workloads::scenario;
+use misp::isa::{Op, ProgramBuilder, ProgramLibrary, ShredProgram};
+use misp::os::TimerConfig;
+use misp::shredlib::{GangScheduler, SchedulingPolicy};
+use misp::sim::{SimConfig, SimReport, TraceConfig};
+use misp::smp::SmpMachine;
+use misp::types::{Cycles, Histogram};
+use misp::workloads::scenario::{self, RequestStream, Scenario};
+use misp::workloads::Run;
 use proptest::prelude::*;
 
 fn sweep_service_load() -> misp::harness::SweepResults {
@@ -159,5 +167,148 @@ proptest! {
         prop_assert_eq!(&forward, &reference);
         prop_assert_eq!(&reverse, &reference);
         prop_assert_eq!(forward.percentiles(), reference.percentiles());
+    }
+}
+
+/// The service config of the equivalence runs: the quick timer, with the
+/// trace ring on so its digest joins the comparison.
+fn traced_config() -> SimConfig {
+    SimConfig {
+        timer: TimerConfig::new(Cycles::new(3_000_000), 10),
+        trace: TraceConfig {
+            enabled: true,
+            ..TraceConfig::default()
+        },
+        ..SimConfig::default()
+    }
+}
+
+/// The generator as it was built before the scheduler continued it: one
+/// `compute(gap)` + `shred_create` pair per arrival, all up front, with the
+/// same service model.  It is queued as an initial shred rather than the
+/// main program, so the scheduler runs it as written and never continues
+/// it; the creation order, and so every shred id, is the same.
+fn upfront_build(
+    s: &Scenario,
+    library: &mut ProgramLibrary,
+    stream: &RequestStream,
+) -> GangScheduler {
+    let request = library.insert(ShredProgram::empty(format!("{}-request", s.name())));
+    let mut generator =
+        ProgramBuilder::new(format!("{}-generator", s.name())).op(Op::RegisterHandler);
+    let mut prev = Cycles::ZERO;
+    for &arrival in &stream.arrivals {
+        generator = generator.compute(arrival - prev).shred_create(request);
+        prev = arrival;
+    }
+    let generator = library.insert(generator.build());
+    GangScheduler::builder()
+        .policy(SchedulingPolicy::Fifo)
+        .initial_shred(generator)
+        .service(s.service_model(stream))
+        .build()
+}
+
+/// Runs `scheduler` over `library` on the catalog's eight-sequencer MISP
+/// uniprocessor or on an eight-core SMP, as `Run::execute` assembles them.
+fn run_on(smp: bool, library: ProgramLibrary, scheduler: GangScheduler) -> SimReport {
+    if smp {
+        let mut machine = SmpMachine::new(8, traced_config(), library);
+        let pid = machine.add_process("svc", Box::new(scheduler), Some(0));
+        for core in 1..8 {
+            machine.add_thread(pid, Some(core));
+        }
+        machine.run().unwrap()
+    } else {
+        let topology = MispTopology::uniprocessor(7).unwrap();
+        let mut machine = MispMachine::new(topology, traced_config(), library);
+        machine.add_process("svc", Box::new(scheduler), Some(0));
+        machine.run().unwrap()
+    }
+}
+
+/// Everything a run reports that a golden or digest could pin: the stats
+/// as JSON, the completion times, the event-log digest and the trace.
+fn fingerprint(report: &SimReport) -> (String, String, u64, u64, u64) {
+    let trace = report.trace.as_ref().expect("tracing is on");
+    (
+        serde_json::to_string(&report.stats).unwrap(),
+        format!("{:?} {:?}", report.total_cycles, report.completions),
+        report.log_digest,
+        trace.digest,
+        trace.dropped,
+    )
+}
+
+/// The continued generator executes exactly the op sequence of the
+/// up-front one, so every run is byte-identical to the reference: poisson,
+/// bursty and diurnal on MISP and SMP, a queue bound that drops arrivals
+/// (a drop continues the generator too) and a pool of one.
+#[test]
+fn continued_generator_replays_the_upfront_generator_exactly() {
+    let base = |name| scenario::by_name(name).unwrap().with_requests(300);
+    let cases = [
+        (base("poisson"), false),
+        (base("poisson"), true),
+        (base("bursty"), false),
+        (base("bursty"), true),
+        (base("diurnal"), false),
+        (base("diurnal"), true),
+        (
+            base("bursty").with_offered_load(150).with_queue_bound(3),
+            false,
+        ),
+        (base("poisson").with_pool_width(1), true),
+    ];
+    let mut dropped = 0;
+    for (s, smp) in cases {
+        let context = format!(
+            "{} on {} (load {}%, pool {})",
+            s.name(),
+            if smp { "smp" } else { "misp" },
+            s.offered_load_pct(),
+            s.pool_width()
+        );
+        let stream = s.stream(2026);
+        let mut library = ProgramLibrary::new();
+        let continued = s.build_from_stream(&mut library, &stream);
+        let got = run_on(smp, library, continued);
+        let mut library = ProgramLibrary::new();
+        let reference = upfront_build(&s, &mut library, &stream);
+        let want = run_on(smp, library, reference);
+        assert_eq!(fingerprint(&got), fingerprint(&want), "{context}");
+        let service = got.stats.service.as_ref().expect("service stats");
+        assert_eq!(
+            service.admitted + service.dropped,
+            300,
+            "{context}: every arrival is consumed"
+        );
+        dropped += service.dropped;
+    }
+    assert!(dropped > 0, "the queue-bound case must exercise drops");
+}
+
+/// A fleet with more machines than requests leaves some machines an empty
+/// stream: their generator only registers the handler, and they run to an
+/// empty service record beside the machines that serve.
+#[test]
+fn fleet_machines_with_empty_streams_run_a_handler_only_generator() {
+    let s = scenario::by_name("poisson").unwrap().with_requests(3);
+    let fleet = FleetTopology::new(5, LoadBalancerPolicy::RoundRobin).unwrap();
+    let streams = s.fleet_streams(11, &fleet);
+    assert_eq!(streams.dispatch_counts(), [1, 1, 1, 0, 0]);
+    let report = Run::scenario(&s)
+        .topology(MispTopology::uniprocessor(7).unwrap())
+        .seed(11)
+        .execute_fleet(&fleet)
+        .unwrap();
+    let admitted: Vec<u64> = report
+        .reports
+        .iter()
+        .map(|r| r.stats.service.as_ref().expect("service stats").admitted)
+        .collect();
+    assert_eq!(admitted, [1, 1, 1, 0, 0]);
+    for r in &report.reports[3..] {
+        assert_eq!(r.stats.service.as_ref().unwrap().completed, 0);
     }
 }

@@ -16,12 +16,17 @@
 //! parallel never see each other's allocations.
 
 use misp::core::{MispMachine, MispTopology};
-use misp::harness::alloc_count::{thread_allocations, CountingAllocator};
-use misp::isa::ProgramLibrary;
+use misp::harness::alloc_count::{thread_allocations, thread_bytes, CountingAllocator};
+use misp::isa::{ProgramLibrary, RuntimeOp};
 use misp::os::TimerConfig;
-use misp::sim::{FleetEngine, SimConfig, TraceConfig};
-use misp::types::Cycles;
+use misp::shredlib::GangScheduler;
+use misp::sim::{
+    EngineCore, FleetEngine, Runtime, RuntimeOutcome, ServiceStats, SimConfig, TraceConfig,
+};
+use misp::types::{Cycles, OsThreadId, SequencerId, ShredId};
 use misp::workloads::{scenario, LocalityProfile, Suite, Workload, WorkloadParams};
+use std::cell::Cell;
+use std::rc::Rc;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -189,6 +194,77 @@ struct ServiceRun {
     pool_bytes: usize,
     /// The service's high-water mark of outstanding requests.
     max_outstanding: u64,
+    /// The longest the scheduler's request table grew during the run.
+    table_peak: usize,
+}
+
+/// Forwards every call to a gang scheduler and, after each runtime op and
+/// each halt, checks that the scheduler's request table is no longer than
+/// the shred pool's cursor slab.  Records the table's peak length.
+#[derive(Debug)]
+struct TableAudit {
+    inner: GangScheduler,
+    peak: Rc<Cell<usize>>,
+}
+
+impl TableAudit {
+    fn check(&self, core: &EngineCore) {
+        let table = self.inner.request_table_len();
+        let slab = core.shreds().slab_len();
+        assert!(
+            table <= slab,
+            "request table holds {table} entries for a cursor slab of {slab}"
+        );
+        self.peak.set(self.peak.get().max(table));
+    }
+}
+
+impl Runtime for TableAudit {
+    fn on_thread_start(&mut self, core: &mut EngineCore, thread: OsThreadId, now: Cycles) {
+        self.inner.on_thread_start(core, thread, now);
+    }
+
+    fn next_shred(
+        &mut self,
+        core: &mut EngineCore,
+        seq: SequencerId,
+        thread: OsThreadId,
+        now: Cycles,
+    ) -> Option<ShredId> {
+        self.inner.next_shred(core, seq, thread, now)
+    }
+
+    fn on_runtime_op(
+        &mut self,
+        core: &mut EngineCore,
+        seq: SequencerId,
+        shred: ShredId,
+        op: &RuntimeOp,
+        now: Cycles,
+    ) -> RuntimeOutcome {
+        let outcome = self.inner.on_runtime_op(core, seq, shred, op, now);
+        self.check(core);
+        outcome
+    }
+
+    fn on_shred_halt(
+        &mut self,
+        core: &mut EngineCore,
+        seq: SequencerId,
+        shred: ShredId,
+        now: Cycles,
+    ) {
+        self.inner.on_shred_halt(core, seq, shred, now);
+        self.check(core);
+    }
+
+    fn is_finished(&self, core: &EngineCore) -> bool {
+        self.inner.is_finished(core)
+    }
+
+    fn service_stats(&self) -> Option<&ServiceStats> {
+        self.inner.service_stats()
+    }
 }
 
 /// Builds a poisson service machine outside the measurement and runs it.
@@ -201,7 +277,11 @@ fn measured_service_run(requests: usize) -> ServiceRun {
         ..SimConfig::default()
     };
     let mut library = ProgramLibrary::new();
-    let scheduler = scenario.build(&mut library, 7);
+    let peak = Rc::new(Cell::new(0));
+    let scheduler = TableAudit {
+        inner: scenario.build(&mut library, 7),
+        peak: Rc::clone(&peak),
+    };
     let mut machine = MispMachine::new(MispTopology::uniprocessor(7).unwrap(), config, library);
     machine.add_process(scenario.name(), Box::new(scheduler), Some(0));
 
@@ -220,6 +300,7 @@ fn measured_service_run(requests: usize) -> ServiceRun {
         slab_len: pool.slab_len(),
         pool_bytes: pool.heap_bytes(),
         max_outstanding: service.max_outstanding,
+        table_peak: peak.get(),
     }
 }
 
@@ -275,5 +356,65 @@ fn shred_pool_footprint_tracks_live_shreds() {
         short.shreds,
         long.pool_bytes,
         long.shreds
+    );
+}
+
+/// The scheduler's request table is indexed by cursor-slab slot, so it is
+/// never longer than the slab, which tracks live shreds; a table with a
+/// slot per request ever admitted would outgrow it within the first few
+/// hundred requests.  `TableAudit` checks the bound after every runtime op
+/// and halt.
+#[test]
+fn request_table_tracks_live_shreds() {
+    for requests in [2_000, 4_000] {
+        let run = measured_service_run(requests);
+        assert!(run.table_peak > 0, "the audit saw tracked requests");
+        assert!(
+            run.table_peak <= run.slab_len,
+            "request table peaked at {} entries for a cursor slab of {} \
+             ({} shreds created)",
+            run.table_peak,
+            run.slab_len,
+            run.shreds
+        );
+    }
+}
+
+/// What `Scenario::build_from_stream` allocates for a poisson stream of
+/// `requests`: (allocations, bytes), on this thread only.  The stream is
+/// recorded before the measurement.
+fn measured_build(requests: usize) -> (u64, u64) {
+    let scenario = scenario::by_name("poisson")
+        .unwrap()
+        .with_requests(requests);
+    let stream = scenario.stream(7);
+    let mut library = ProgramLibrary::new();
+    let (allocations, bytes) = (thread_allocations(), thread_bytes());
+    let scheduler = scenario.build_from_stream(&mut library, &stream);
+    let measured = (thread_allocations() - allocations, thread_bytes() - bytes);
+    drop(scheduler);
+    measured
+}
+
+/// The build holds no per-request program: the generator and the request
+/// template have a fixed size, so what a build allocates per extra request
+/// is the service model's copies of the arrival and the demand, 16 bytes,
+/// within a bound of 32.  A generator with a `compute` + `shred_create`
+/// pair per request allocates at least two 40-byte items more.  The number
+/// of allocations does not depend on the stream's length at all.
+#[test]
+fn service_build_allocates_only_the_stream_data() {
+    let _ = measured_build(500);
+    let (allocs_2k, bytes_2k) = measured_build(2_000);
+    let (allocs_4k, bytes_4k) = measured_build(4_000);
+    let per_request = bytes_4k.saturating_sub(bytes_2k) as f64 / 2_000.0;
+    assert!(
+        per_request <= 32.0,
+        "building the service allocated {per_request:.1} bytes per extra request \
+         ({bytes_2k} bytes at 2k requests, {bytes_4k} at 4k)"
+    );
+    assert_eq!(
+        allocs_2k, allocs_4k,
+        "the number of allocations grew with the stream"
     );
 }
