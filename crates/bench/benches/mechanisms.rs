@@ -2,8 +2,8 @@
 //! the signaling fabric, the trigger/response registry, the analytic overhead
 //! model, ShredLib's work queue and synchronization objects, and the
 //! instruction-stream cursor.  These quantify the *simulator's* costs (they
-//! are what make the table/figure harnesses fast), complementing the
-//! experiment binaries that regenerate the paper's results.
+//! are what make the table/figure sweeps fast), complementing the `sweep`
+//! grids that regenerate the paper's results.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use misp_core::{OverheadModel, SignalFabric, SignalKind};

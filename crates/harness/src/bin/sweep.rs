@@ -9,7 +9,11 @@
 //!
 //! The document goes to `--out`, to stdout with `--stdout`, or to stdout by
 //! default when no sink is named (the one-line run summary always goes to
-//! stderr).
+//! stderr).  Whenever the document is not going to stdout — `--out` without
+//! `--stdout` — stdout carries the grid's text table instead (see
+//! [`misp_harness::render`]; `fleet_service` has none), so
+//! `sweep table1 --out results/table1.json` writes the document and prints
+//! Table 1.
 //!
 //! `--offered-load` applies only to the `service_load` scenario grid: it
 //! collapses every load axis of the grid to the given percentage of pool
@@ -33,7 +37,7 @@
 //! regenerated with `--out`.
 
 use misp_harness::alloc_count::{self, CountingAllocator};
-use misp_harness::{artifacts, grids, run_grid_with_artifacts, SweepOptions, VerifyMode};
+use misp_harness::{artifacts, grids, render, run_grid_with_artifacts, SweepOptions, VerifyMode};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -291,7 +295,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut options = SweepOptions::from_env();
+    let mut options = SweepOptions::default();
     if let Some(threads) = args.threads {
         options.threads = threads;
     }
@@ -327,8 +331,9 @@ fn main() -> ExitCode {
 
     let write_started = std::time::Instant::now();
     // With no sink selected the document would be computed and discarded, so
-    // default to stdout.
-    if args.stdout || args.out.is_none() {
+    // default to stdout.  Otherwise stdout is free for the grid's table.
+    let document_to_stdout = args.stdout || args.out.is_none();
+    if document_to_stdout {
         print!("{json}");
     }
     if let Some(path) = &args.out {
@@ -403,6 +408,12 @@ fn main() -> ExitCode {
         }
     }
     let write_elapsed = write_started.elapsed();
+
+    if !document_to_stdout {
+        if let Some(table) = render::table(&results) {
+            print!("{table}");
+        }
+    }
 
     if args.profile {
         let mut queue = misp_sim::QueueProfile::default();

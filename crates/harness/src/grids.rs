@@ -1,5 +1,6 @@
 //! The named experiment grids: one per figure/table of the paper plus the
-//! two ablations, exactly the sweeps the `misp-bench` binaries render.
+//! two ablations, and the cache, service and fleet studies.  `sweep <grid>`
+//! runs any of them; [`crate::render`] prints their tables.
 
 use crate::spec::{FleetSpec, GridSpec, MachineSpec, RunSpec, ScenarioSpec, SimSpec, TopologySpec};
 use misp_cache::CacheConfig;
@@ -652,6 +653,50 @@ mod tests {
                 let baseline = run.baseline.as_deref().expect("smaller L2s have one");
                 assert!(baseline.ends_with("/l2_2m"), "{} -> {baseline}", run.id);
             }
+        }
+    }
+
+    fn run(grid: &GridSpec) -> crate::SweepResults {
+        let options = crate::SweepOptions {
+            threads: 2,
+            verify: crate::VerifyMode::Off,
+        };
+        crate::run_grid(grid, &options).expect("sweep succeeds")
+    }
+
+    /// The structure Figure 6 depicts: every configuration uses the same
+    /// eight sequencers, and the OS sees exactly the OMSs.
+    #[test]
+    fn fig6_partitions_eight_sequencers_into_oms_and_ams() {
+        let results = run(&fig6());
+        for record in &results.records {
+            let topo = record
+                .topology
+                .as_ref()
+                .expect("fig6 records are topologies");
+            assert_eq!(topo.total_sequencers, 8, "{} uses 8 sequencers", record.id);
+            assert_eq!(
+                topo.oms_count + topo.ams_count,
+                8,
+                "{} partitions OMSs and AMSs exactly",
+                record.id
+            );
+        }
+    }
+
+    /// Figure 7's table reads a missing normalization as 1, which is right
+    /// for the unloaded 1x8 baseline only.
+    #[test]
+    fn fig7_records_all_carry_a_speedup_but_the_baseline() {
+        let results = run(&fig7());
+        for record in &results.records {
+            let sim = record.sim.as_ref().expect("fig7 records are simulations");
+            assert_eq!(
+                sim.speedup_vs_baseline.is_none(),
+                record.id == "1x8/load0",
+                "{}: only the baseline lacks a speedup",
+                record.id
+            );
         }
     }
 

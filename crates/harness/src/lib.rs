@@ -30,9 +30,10 @@
 //! assert!(raytracer.port.as_ref().unwrap().api_calls > 0);
 //! ```
 //!
-//! The predefined grids live in [`grids`]; the `sweep` binary runs any of
-//! them from the command line (`sweep fig4 --threads 8 --out
-//! results/fig4.json`).
+//! The predefined grids live in [`grids`] and their text tables in
+//! [`render`]; the `sweep` binary runs any of them from the command line.
+//! `sweep fig4 --threads 8 --out results/fig4.json` writes the document and
+//! prints Figure 4's table on stdout.
 
 // `unsafe` is denied everywhere but `alloc_count`, the global-allocator
 // wrapper, which allows it module-wide.
@@ -47,6 +48,7 @@ pub mod scheduler;
 mod spec;
 
 pub mod grids;
+pub mod render;
 
 pub use exec::{
     config_with_signal, execute_run, execute_run_with_artifacts, experiment_config, RunArtifacts,
@@ -93,23 +95,6 @@ impl Default for SweepOptions {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             verify: VerifyMode::default(),
         }
-    }
-}
-
-impl SweepOptions {
-    /// Default options with the thread count taken from the
-    /// `MISP_SWEEP_THREADS` environment variable when set (the figure/table
-    /// binaries use this so CI can pin their parallelism).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut options = SweepOptions::default();
-        if let Some(threads) = std::env::var("MISP_SWEEP_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            options.threads = threads.max(1);
-        }
-        options
     }
 }
 
@@ -299,13 +284,5 @@ mod tests {
             SimSpec::workload("no-such-workload", MachineSpec::Serial, 4),
         ));
         assert!(run_grid(&grid, &SweepOptions::default()).is_err());
-    }
-
-    #[test]
-    fn from_env_respects_thread_override() {
-        // Only exercises the parsing path with the variable unset: the
-        // default must be at least one thread.
-        let options = SweepOptions::from_env();
-        assert!(options.threads >= 1);
     }
 }

@@ -71,14 +71,12 @@
 //!
 //! # Reproducing the paper
 //!
-//! Each table and figure has a dedicated binary in the `misp-bench` crate;
-//! see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for the
-//! recorded paper-versus-measured comparison.  All of them are thin
-//! formatters over the [`harness`] crate's named experiment grids, which the
-//! `sweep` binary can also run directly:
+//! Each table and figure is one of the [`harness`] crate's named experiment
+//! grids.  The `sweep` binary runs it, writes the results document to
+//! `--out` and prints the figure's text table on stdout:
 //!
 //! ```text
-//! cargo run --release -p misp-harness --bin sweep -- fig4 --threads 8 --out results/fig4-sweep.json
+//! cargo run --release -p misp-harness --bin sweep -- fig4 --out results/fig4.json
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,13 +6,20 @@
 //! engine, the cost model, the workload calibration or the results schema
 //! that moves a figure shows up here as a readable diff.
 //!
+//! The text table `sweep` prints for each figure, table and ablation is
+//! pinned the same way, against `tests/goldens/<grid>.table.txt`.
+//!
 //! To regenerate a golden after an intentional change:
 //!
 //! ```text
-//! cargo run --release -p misp-harness --bin sweep -- <grid> --out tests/goldens/<grid>.json
+//! cargo run --release -p misp-harness --bin sweep -- <grid> --out tests/goldens/<grid>.json \
+//!     > tests/goldens/<grid>.table.txt
 //! ```
+//!
+//! `fig7` and the two ablations have a table golden only: point their
+//! `--out` at a scratch path such as `results/<grid>.json`.
 
-use misp::harness::{grids, run_grid, SweepOptions, VerifyMode};
+use misp::harness::{grids, render, run_grid, SweepOptions, VerifyMode};
 use serde_json::Value;
 use std::path::PathBuf;
 
@@ -219,6 +226,49 @@ fn goldens_carry_the_current_schema_version() {
             text.contains(&needle),
             "golden {name} does not declare schema version {}",
             misp::harness::SCHEMA_VERSION
+        );
+    }
+}
+
+/// Every grid `sweep` prints a table for (all but `fleet_service`).
+const TABLE_GRIDS: [&str; 10] = [
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "table1",
+    "table2",
+    "ablation_ring0",
+    "ablation_pretouch",
+    "cache_sensitivity",
+    "service_load",
+];
+
+/// Each grid's text table — what `sweep <grid> --out PATH` prints — matches
+/// its committed `.table.txt` byte for byte.  This is the only coverage of
+/// the fig7 and ablation tables, whose grids have no JSON golden.
+#[test]
+fn tables_match_their_goldens() {
+    let options = SweepOptions {
+        threads: 2,
+        verify: VerifyMode::Off,
+    };
+    for name in TABLE_GRIDS {
+        let grid = grids::by_name(name).expect("named grid exists");
+        let results = run_grid(&grid, &options).expect("sweep succeeds");
+        let actual =
+            render::table(&results).unwrap_or_else(|| panic!("grid {name} renders a table"));
+        let path = golden_path(name).with_extension("table.txt");
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("could not read golden {}: {e}", path.display()));
+        assert!(
+            expected == actual,
+            "the table of grid {name} no longer matches its golden ({}).\n{}\n\
+             If the change is intentional, regenerate with:\n  \
+             cargo run --release -p misp-harness --bin sweep -- {name} --out results/{name}.json \
+             > tests/goldens/{name}.table.txt",
+            path.display(),
+            first_divergence(&expected, &actual)
         );
     }
 }
