@@ -1,6 +1,6 @@
 //! Cache-hierarchy configuration.
 
-use misp_types::CacheCostModel;
+use misp_types::{CacheCostModel, MispError, Result};
 use serde::{Deserialize, Serialize};
 
 /// The geometry of one set-associative cache level: `sets × ways` lines.
@@ -37,6 +37,23 @@ impl CacheGeometry {
     #[must_use]
     pub fn capacity_bytes(&self, line_size: u64) -> u64 {
         self.lines() * line_size
+    }
+
+    /// The set `line` maps to.
+    pub(crate) fn set_of(&self, line: u64) -> usize {
+        (line % u64::from(self.sets)) as usize
+    }
+
+    /// Rejects a geometry with no sets or no ways; `level` names it in the
+    /// error.
+    fn validate(&self, level: &str) -> Result<()> {
+        if self.sets == 0 || self.ways == 0 {
+            return Err(MispError::InvalidConfiguration(format!(
+                "cache {level} needs at least one set and one way, got {} sets x {} ways",
+                self.sets, self.ways
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -114,10 +131,29 @@ impl CacheConfig {
         self
     }
 
-    /// The line index of a byte address.
+    /// Checks that the geometry can be simulated: both levels need at least
+    /// one set and one way, and the line size must be a power of two.
+    ///
+    /// # Errors
+    ///
+    /// [`MispError::InvalidConfiguration`] naming the first bad field.
+    pub fn validate(&self) -> Result<()> {
+        self.l1.validate("L1")?;
+        self.l2.validate("L2")?;
+        if !self.line_size.is_power_of_two() {
+            return Err(MispError::InvalidConfiguration(format!(
+                "cache line size must be a power of two, got {}",
+                self.line_size
+            )));
+        }
+        Ok(())
+    }
+
+    /// The line index of a byte address.  The line size must be a power of
+    /// two, as [`CacheConfig::validate`] checks, so this is a shift.
     #[must_use]
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_size.max(1)
+        addr >> self.line_size.trailing_zeros()
     }
 
     /// A short human-readable label of the geometry, recorded in sweep

@@ -2,7 +2,7 @@
 //! MESI-lite coherence between them.
 
 use crate::{CacheConfig, MesiState, SetAssocCache};
-use misp_types::{Cycles, SequencerId, VirtAddr};
+use misp_types::{Cycles, FxHashSet, SequencerId, VirtAddr};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -108,8 +108,12 @@ impl CacheStats {
 ///
 /// Coherence is maintained by snooping every L1 on demand rather than through
 /// a directory, which is exact and cheap at the machine sizes the paper
-/// evaluates (eight sequencers).  All bookkeeping uses ordered containers, so
-/// the hierarchy is strictly deterministic.
+/// evaluates (eight sequencers).  Every L1 shares one geometry and every L2
+/// another, so an access computes its L1 set and its L2 set once and the
+/// snoop probes that one set in each cache.  The miss-classification books
+/// are hash sets used for membership only — nothing iterates them — so
+/// results depend only on set membership, never on hash order, and the
+/// hierarchy is strictly deterministic.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     config: CacheConfig,
@@ -117,10 +121,11 @@ pub struct CacheHierarchy {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     /// Lines ever fetched anywhere, for compulsory-miss classification.
-    touched: BTreeSet<u64>,
+    /// Membership only.
+    touched: FxHashSet<u64>,
     /// Per-sequencer lines lost to remote stores, for coherence-miss
-    /// classification.
-    invalidated: Vec<BTreeSet<u64>>,
+    /// classification.  Membership only.
+    invalidated: Vec<FxHashSet<u64>>,
     stats: Vec<CacheStats>,
 }
 
@@ -131,10 +136,14 @@ impl CacheHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `clusters` is empty.
+    /// Panics if `clusters` is empty or `config` fails
+    /// [`CacheConfig::validate`].
     #[must_use]
     pub fn new(config: CacheConfig, clusters: &[usize]) -> Self {
         assert!(!clusters.is_empty(), "a hierarchy needs sequencers");
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let l2_count = clusters.iter().max().copied().unwrap_or(0) + 1;
         CacheHierarchy {
             config,
@@ -145,8 +154,8 @@ impl CacheHierarchy {
             l2: (0..l2_count)
                 .map(|_| SetAssocCache::new(config.l2))
                 .collect(),
-            touched: BTreeSet::new(),
-            invalidated: vec![BTreeSet::new(); clusters.len()],
+            touched: FxHashSet::default(),
+            invalidated: vec![FxHashSet::default(); clusters.len()],
             stats: vec![CacheStats::default(); clusters.len()],
         }
     }
@@ -200,20 +209,25 @@ impl CacheHierarchy {
         let cluster = self.clusters[idx];
         let line = self.line_key(space, addr);
         let costs = self.config.costs;
+        // Every L1 shares one geometry and every L2 another, so the two set
+        // indices serve the lookup, the fills and every snoop below.
+        let l1_set = self.config.l1.set_of(line);
+        let l2_set = self.config.l2.set_of(line);
 
         // L1 hit: loads keep the line's state, stores may need an upgrade.
-        if let Some(state) = self.l1[idx].lookup(line) {
+        if let Some(state) = self.l1[idx].lookup_at(l1_set, line) {
             let mut invalidations = 0;
             let mut latency = costs.l1_hit;
             if store {
                 if state == MesiState::Shared {
-                    let (l1_invalidations, purged_any) = self.invalidate_others(idx, cluster, line);
+                    let (l1_invalidations, purged_any) =
+                        self.invalidate_others(idx, cluster, l1_set, l2_set, line);
                     invalidations = l1_invalidations;
                     if purged_any {
                         latency += costs.invalidation;
                     }
                 }
-                self.l1[idx].set_state(line, MesiState::Modified);
+                self.l1[idx].set_state_at(l1_set, line, MesiState::Modified);
             }
             self.stats[idx].l1_hits += 1;
             return CacheOutcome {
@@ -224,30 +238,32 @@ impl CacheHierarchy {
             };
         }
 
-        // L1 miss: classify before the fill updates the books.
-        let class = if !self.touched.contains(&line) {
+        // L1 miss: classify while updating the books, before the fill.  A
+        // line in `invalidated` was in some L1, so it is also in `touched`.
+        let first_touch = self.touched.insert(line);
+        let lost_to_store = self.invalidated[idx].remove(&line);
+        let class = if first_touch {
             MissClass::Compulsory
-        } else if self.invalidated[idx].contains(&line) {
+        } else if lost_to_store {
             MissClass::Coherence
         } else {
             MissClass::Capacity
         };
-        self.touched.insert(line);
-        self.invalidated[idx].remove(&line);
 
-        let l2_hit = self.l2[cluster].lookup(line).is_some();
+        let l2_hit = self.l2[cluster].lookup_at(l2_set, line).is_some();
 
         // Coherence actions and the L1 fill state.
         let mut invalidations = 0;
         let mut latency_extra = Cycles::ZERO;
         let fill_state = if store {
-            let (l1_invalidations, purged_any) = self.invalidate_others(idx, cluster, line);
+            let (l1_invalidations, purged_any) =
+                self.invalidate_others(idx, cluster, l1_set, l2_set, line);
             invalidations = l1_invalidations;
             if purged_any {
                 latency_extra = costs.invalidation;
             }
             MesiState::Modified
-        } else if self.downgrade_remote_holders(idx, cluster, line) {
+        } else if self.downgrade_remote_holders(idx, cluster, l1_set, l2_set, line) {
             MesiState::Shared
         } else {
             MesiState::Exclusive
@@ -255,9 +271,9 @@ impl CacheHierarchy {
 
         if !l2_hit {
             // The L2 tracks presence only; per-line MESI lives in the L1s.
-            self.l2[cluster].insert(line, MesiState::Shared);
+            self.l2[cluster].insert_at(l2_set, line, MesiState::Shared);
         }
-        self.l1[idx].insert(line, fill_state);
+        self.l1[idx].insert_at(l1_set, line, fill_state);
 
         let stats = &mut self.stats[idx];
         if l2_hit {
@@ -285,18 +301,26 @@ impl CacheHierarchy {
 
     /// Invalidates `line` in every L1 except `me` and in every L2 except
     /// `my_cluster`'s, marking the displaced L1 holders for coherence-miss
-    /// classification.  Returns the number of L1 lines invalidated and
-    /// whether *any* remote copy (L1 or L2) was purged — a store must pay
-    /// the invalidation round even when the only surviving copy is a
-    /// lingering remote-cluster L2 line.
-    fn invalidate_others(&mut self, me: usize, my_cluster: usize, line: u64) -> (u64, bool) {
+    /// classification.  `l1_set` and `l2_set` are the line's set at each
+    /// level.  Returns the number of L1 lines invalidated and whether *any*
+    /// remote copy (L1 or L2) was purged — a store must pay the invalidation
+    /// round even when the only surviving copy is a lingering remote-cluster
+    /// L2 line.
+    fn invalidate_others(
+        &mut self,
+        me: usize,
+        my_cluster: usize,
+        l1_set: usize,
+        l2_set: usize,
+        line: u64,
+    ) -> (u64, bool) {
         let mut count = 0;
         let mut purged_any = false;
         for other in 0..self.l1.len() {
             if other == me {
                 continue;
             }
-            if self.l1[other].invalidate(line).is_some() {
+            if self.l1[other].invalidate_at(l1_set, line).is_some() {
                 count += 1;
                 purged_any = true;
                 self.invalidated[other].insert(line);
@@ -304,7 +328,7 @@ impl CacheHierarchy {
             }
         }
         for (c, l2) in self.l2.iter_mut().enumerate() {
-            if c != my_cluster && l2.invalidate(line).is_some() {
+            if c != my_cluster && l2.invalidate_at(l2_set, line).is_some() {
                 purged_any = true;
             }
         }
@@ -316,20 +340,24 @@ impl CacheHierarchy {
     /// holds the line.  The L2 check matters for exclusivity: a line filled
     /// `Exclusive` must have no copy anywhere else in the machine, so that a
     /// later store hitting it in `Exclusive`/`Modified` state can skip the
-    /// invalidation round without leaving a stale copy behind.
-    fn downgrade_remote_holders(&mut self, me: usize, my_cluster: usize, line: u64) -> bool {
+    /// invalidation round without leaving a stale copy behind.  `l1_set` and
+    /// `l2_set` are the line's set at each level.
+    fn downgrade_remote_holders(
+        &mut self,
+        me: usize,
+        my_cluster: usize,
+        l1_set: usize,
+        l2_set: usize,
+        line: u64,
+    ) -> bool {
         let mut held = false;
         for other in 0..self.l1.len() {
-            if other == me {
-                continue;
-            }
-            if self.l1[other].peek(line).is_some() {
+            if other != me && self.l1[other].set_state_at(l1_set, line, MesiState::Shared) {
                 held = true;
-                self.l1[other].set_state(line, MesiState::Shared);
             }
         }
         for (c, l2) in self.l2.iter().enumerate() {
-            if c != my_cluster && l2.peek(line).is_some() {
+            if c != my_cluster && l2.peek_at(l2_set, line).is_some() {
                 held = true;
             }
         }

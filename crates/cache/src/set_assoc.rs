@@ -2,7 +2,6 @@
 //! states.
 
 use crate::CacheGeometry;
-use std::collections::VecDeque;
 
 /// The MESI-lite coherence state of a cached line.  `Invalid` is represented
 /// by absence from the cache.
@@ -21,9 +20,13 @@ pub enum MesiState {
 ///
 /// The cache stores line *indices* (byte address divided by the line size);
 /// the mapping from addresses to lines lives in
-/// [`crate::CacheConfig::line_of`].  All internal state is ordered, so two
-/// identical access sequences leave two caches in identical states — the
-/// engine-level determinism guarantee depends on this.
+/// [`crate::CacheConfig::line_of`].  The lines live in one flat array of
+/// `sets × ways` slots: set `s` owns the `ways` slots from `s × ways`, of
+/// which the first `fill[s]` are resident, least-recently-used first.  A hit
+/// rotates the line to the end of its set's resident slice.  Every operation
+/// depends only on the access sequence, so two identical access sequences
+/// leave two caches in identical states — the engine-level determinism
+/// guarantee depends on this.
 ///
 /// # Examples
 ///
@@ -38,12 +41,24 @@ pub enum MesiState {
 /// // A third line in the 2-way set evicts the least-recently-used one.
 /// assert_eq!(cache.insert(11, MesiState::Exclusive), Some(7));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    /// Per-set lines, least-recently-used at the front.
-    sets: Vec<VecDeque<(u64, MesiState)>>,
+    /// `sets × ways` line slots; only each set's first `fill` are resident.
+    slots: Vec<(u64, MesiState)>,
+    /// Resident lines per set.
+    fill: Vec<u32>,
 }
+
+/// Two caches are equal when they hold the same lines in the same states and
+/// LRU order; slots past a set's fill are scratch and never compared.
+impl PartialEq for SetAssocCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.geometry == other.geometry && self.lines().eq(other.lines())
+    }
+}
+
+impl Eq for SetAssocCache {}
 
 impl SetAssocCache {
     /// Creates an empty cache of the given geometry.
@@ -51,9 +66,8 @@ impl SetAssocCache {
     pub fn new(geometry: CacheGeometry) -> Self {
         SetAssocCache {
             geometry,
-            sets: (0..geometry.sets)
-                .map(|_| VecDeque::with_capacity(geometry.ways as usize))
-                .collect(),
+            slots: vec![(0, MesiState::Shared); geometry.lines() as usize],
+            fill: vec![0; geometry.sets as usize],
         }
     }
 
@@ -63,34 +77,37 @@ impl SetAssocCache {
         self.geometry
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line % u64::from(self.geometry.sets)) as usize
+    /// The resident lines of `set`, least-recently-used first.
+    fn set_lines(&self, set: usize) -> &[(u64, MesiState)] {
+        let base = set * self.geometry.ways as usize;
+        &self.slots[base..base + self.fill[set] as usize]
     }
 
-    /// Looks `line` up, promoting it to most-recently-used on a hit.
-    pub fn lookup(&mut self, line: u64) -> Option<MesiState> {
-        let set = self.set_of(line);
-        let entries = &mut self.sets[set];
-        let pos = entries.iter().position(|(l, _)| *l == line)?;
-        let entry = entries.remove(pos).expect("position just found");
-        entries.push_back(entry);
-        Some(entry.1)
+    fn set_lines_mut(&mut self, set: usize) -> &mut [(u64, MesiState)] {
+        let base = set * self.geometry.ways as usize;
+        &mut self.slots[base..base + self.fill[set] as usize]
     }
 
-    /// Returns the state of `line` without touching LRU order.
-    #[must_use]
-    pub fn peek(&self, line: u64) -> Option<MesiState> {
-        self.sets[self.set_of(line)]
+    /// [`SetAssocCache::lookup`] with `line`'s set already computed.
+    pub(crate) fn lookup_at(&mut self, set: usize, line: u64) -> Option<MesiState> {
+        let entries = self.set_lines_mut(set);
+        let pos = entries.iter().position(|&(l, _)| l == line)?;
+        let state = entries[pos].1;
+        entries[pos..].rotate_left(1);
+        Some(state)
+    }
+
+    /// [`SetAssocCache::peek`] with `line`'s set already computed.
+    pub(crate) fn peek_at(&self, set: usize, line: u64) -> Option<MesiState> {
+        self.set_lines(set)
             .iter()
-            .find(|(l, _)| *l == line)
-            .map(|(_, s)| *s)
+            .find(|&&(l, _)| l == line)
+            .map(|&(_, s)| s)
     }
 
-    /// Sets the coherence state of a resident line without touching LRU
-    /// order.  Returns `false` if the line is not resident.
-    pub fn set_state(&mut self, line: u64, state: MesiState) -> bool {
-        let set = self.set_of(line);
-        match self.sets[set].iter_mut().find(|(l, _)| *l == line) {
+    /// [`SetAssocCache::set_state`] with `line`'s set already computed.
+    pub(crate) fn set_state_at(&mut self, set: usize, line: u64, state: MesiState) -> bool {
+        match self.set_lines_mut(set).iter_mut().find(|(l, _)| *l == line) {
             Some(entry) => {
                 entry.1 = state;
                 true
@@ -99,60 +116,90 @@ impl SetAssocCache {
         }
     }
 
+    /// [`SetAssocCache::insert`] with `line`'s set already computed.
+    pub(crate) fn insert_at(&mut self, set: usize, line: u64, state: MesiState) -> Option<u64> {
+        let ways = self.geometry.ways as usize;
+        let fill = self.fill[set] as usize;
+        let base = set * ways;
+        let entries = &mut self.slots[base..base + fill];
+        if let Some(pos) = entries.iter().position(|&(l, _)| l == line) {
+            entries[pos..].rotate_left(1);
+            entries[fill - 1] = (line, state);
+            return None;
+        }
+        if fill == ways {
+            let evicted = entries[0].0;
+            entries.rotate_left(1);
+            entries[fill - 1] = (line, state);
+            return Some(evicted);
+        }
+        self.slots[base + fill] = (line, state);
+        self.fill[set] += 1;
+        None
+    }
+
+    /// [`SetAssocCache::invalidate`] with `line`'s set already computed.
+    pub(crate) fn invalidate_at(&mut self, set: usize, line: u64) -> Option<MesiState> {
+        let entries = self.set_lines_mut(set);
+        let pos = entries.iter().position(|&(l, _)| l == line)?;
+        let state = entries[pos].1;
+        entries[pos..].rotate_left(1);
+        self.fill[set] -= 1;
+        Some(state)
+    }
+
+    /// Looks `line` up, promoting it to most-recently-used on a hit.
+    pub fn lookup(&mut self, line: u64) -> Option<MesiState> {
+        self.lookup_at(self.geometry.set_of(line), line)
+    }
+
+    /// Returns the state of `line` without touching LRU order.
+    #[must_use]
+    pub fn peek(&self, line: u64) -> Option<MesiState> {
+        self.peek_at(self.geometry.set_of(line), line)
+    }
+
+    /// Sets the coherence state of a resident line without touching LRU
+    /// order.  Returns `false` if the line is not resident.
+    pub fn set_state(&mut self, line: u64, state: MesiState) -> bool {
+        self.set_state_at(self.geometry.set_of(line), line, state)
+    }
+
     /// Inserts `line` in `state` as most-recently-used, evicting and
     /// returning the set's LRU line if the set is full.  Re-inserting a
     /// resident line updates its state and promotes it.
     pub fn insert(&mut self, line: u64, state: MesiState) -> Option<u64> {
-        let set = self.set_of(line);
-        let entries = &mut self.sets[set];
-        if let Some(pos) = entries.iter().position(|(l, _)| *l == line) {
-            entries.remove(pos);
-            entries.push_back((line, state));
-            return None;
-        }
-        let evicted = if entries.len() == self.geometry.ways as usize {
-            entries.pop_front().map(|(l, _)| l)
-        } else {
-            None
-        };
-        entries.push_back((line, state));
-        evicted
+        self.insert_at(self.geometry.set_of(line), line, state)
     }
 
     /// Removes `line`, returning its state if it was resident.
     pub fn invalidate(&mut self, line: u64) -> Option<MesiState> {
-        let set = self.set_of(line);
-        let entries = &mut self.sets[set];
-        let pos = entries.iter().position(|(l, _)| *l == line)?;
-        entries.remove(pos).map(|(_, s)| s)
+        self.invalidate_at(self.geometry.set_of(line), line)
     }
 
     /// Drops every line, returning how many were resident.
     pub fn clear(&mut self) -> usize {
-        let mut dropped = 0;
-        for set in &mut self.sets {
-            dropped += set.len();
-            set.clear();
-        }
+        let dropped = self.len();
+        self.fill.fill(0);
         dropped
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(VecDeque::len).sum()
+        self.fill.iter().map(|&f| f as usize).sum()
     }
 
     /// Returns `true` when no line is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(VecDeque::is_empty)
+        self.fill.iter().all(|&f| f == 0)
     }
 
     /// Iterates over every resident `(line, state)` pair, set by set, LRU
     /// first within each set.
     pub fn lines(&self) -> impl Iterator<Item = (u64, MesiState)> + '_ {
-        self.sets.iter().flat_map(|set| set.iter().copied())
+        (0..self.fill.len()).flat_map(|set| self.set_lines(set).iter().copied())
     }
 }
 
@@ -216,6 +263,19 @@ mod tests {
         }
         assert_eq!(c.clear(), 4);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn equality_ignores_slots_past_the_fill() {
+        let mut a = cache(1, 2);
+        a.insert(1, MesiState::Exclusive);
+        a.insert(2, MesiState::Exclusive);
+        a.invalidate(2); // leaves line 2 in a scratch slot
+        let mut b = cache(1, 2);
+        b.insert(1, MesiState::Exclusive);
+        assert_eq!(a, b);
+        b.insert(3, MesiState::Exclusive);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -147,15 +147,15 @@ pub enum Op {
 /// (without re-entering the event queue) or marks a batch boundary.
 ///
 /// The classification is purely syntactic: a [`OpClass::Memory`] access may
-/// still be a boundary at runtime (it page-faults, or the cache model is on),
-/// which the engine decides with the access peeked but not consumed.
+/// still be a boundary at runtime (it page-faults), which the engine decides
+/// with the access peeked but not consumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Pure local computation with no architectural side effects beyond the
     /// executing sequencer's busy time.  Always safe to execute inline.
     Local,
-    /// A memory access.  Chargeable inline when the flat memory model is in
-    /// effect and the access does not page-fault; otherwise a boundary.
+    /// A memory access.  Chargeable inline when the access does not
+    /// page-fault, with the cache model on or off; otherwise a boundary.
     Memory,
     /// Everything the platform or the user-level runtime observes: ring
     /// transitions, signals, handler registration, synchronization and

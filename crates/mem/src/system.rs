@@ -76,7 +76,8 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if `config.enabled` and `clusters.len()` differs from the
-    /// sequencer count.
+    /// sequencer count, or the geometry fails
+    /// [`CacheConfig::validate`] (the engine validates it first).
     pub fn configure_caches(&mut self, config: CacheConfig, clusters: &[usize]) {
         if config.enabled {
             assert_eq!(

@@ -76,7 +76,6 @@ struct StepParams {
     batch: bool,
     shred_context_switch: Cycles,
     tlb_walk: Cycles,
-    cache_on: bool,
     trace_on: bool,
 }
 
@@ -213,12 +212,18 @@ impl<P: Platform> Machine<P> {
     ///
     /// # Errors
     ///
-    /// [`MispError::InvalidConfiguration`] if no runtime was attached.
+    /// [`MispError::InvalidConfiguration`] if no runtime was attached, or if
+    /// the cache model is enabled with a geometry that fails
+    /// [`misp_cache::CacheConfig::validate`].
     pub fn start(&mut self) -> Result<()> {
         if self.runtimes.is_empty() {
             return Err(MispError::InvalidConfiguration(
                 "no runtime attached to the engine".to_string(),
             ));
+        }
+        let cache = self.core.config().cache;
+        if cache.enabled {
+            cache.validate()?;
         }
         self.platform.init(&mut self.core);
         assert_eq!(
@@ -277,7 +282,6 @@ impl<P: Platform> Machine<P> {
             batch: self.core.config().batch,
             shred_context_switch: self.core.config().costs.shred_context_switch,
             tlb_walk: self.core.config().costs.tlb_walk,
-            cache_on: self.core.memory().cache_enabled(),
             trace_on: self.core.log().trace_enabled(),
         });
         // Schedule the first interval sample inside the queue's total order.
@@ -524,16 +528,25 @@ impl<P: Platform> Machine<P> {
     /// (so the caller should re-check process completion).
     ///
     /// With [`SimConfig::batch`] enabled this is a *macro-step*: after a
-    /// local operation (a compute, or a memory access under the flat memory
-    /// model that does not fault) completes strictly before the batch
-    /// horizon — the earliest pending event in the queue — the engine peeks
-    /// at the next operation and, if that one is local too, executes it
-    /// inline at its own start time instead of scheduling and re-popping a
-    /// `SeqReady` event.  Every boundary operation (ring transitions,
-    /// signals, runtime/sync calls, halts, faulting or cache-modeled
-    /// accesses) still enters through an ordinary event pop, so platforms
-    /// and runtimes observe exactly the state they would have observed in
-    /// the event-per-operation loop, and all results are byte-identical.
+    /// local operation (a compute, or a memory access that does not fault)
+    /// completes strictly before the batch horizon — the earliest pending
+    /// event in the queue — the engine peeks at the next operation and, if
+    /// that one is local too, executes it inline at its own start time
+    /// instead of scheduling and re-popping a `SeqReady` event.  Every
+    /// boundary operation (ring transitions, signals, runtime/sync calls,
+    /// halts, faulting accesses) still enters through an ordinary event pop,
+    /// so platforms and runtimes observe exactly the state they would have
+    /// observed in the event-per-operation loop, and all results are
+    /// byte-identical.
+    ///
+    /// Accesses through the cache model inline too, although each one writes
+    /// coherence state (LRU order, MESI states, remote invalidations) that
+    /// other sequencers read.  An inline operation starts strictly before
+    /// the horizon, and the horizon is the earliest queued event, so no
+    /// other sequencer's event runs between two inline accesses: in the
+    /// event-per-operation loop their `SeqReady` events would have popped
+    /// back to back.  The state an access writes is therefore first observed
+    /// by the same pops, in the same order, in both loops.
     // lint: no-alloc
     fn step_sequencer(
         &mut self,
@@ -553,7 +566,6 @@ impl<P: Platform> Machine<P> {
             batch,
             shred_context_switch,
             tlb_walk,
-            cache_on,
             trace_on,
         } = params;
 
@@ -766,19 +778,16 @@ impl<P: Platform> Machine<P> {
                 };
                 let inline = match class {
                     misp_isa::OpClass::Local => true,
-                    // A memory access is chargeable mid-batch only under
-                    // the flat memory model and only when it will not
-                    // page-fault; with the cache hierarchy modeled every
-                    // access is a boundary (its outcome feeds coherence
-                    // state other sequencers observe).
+                    // A memory access is chargeable mid-batch when it will
+                    // not page-fault (a fault enters the platform), with the
+                    // cache model on or off: see the horizon argument above.
                     misp_isa::OpClass::Memory => {
-                        !cache_on
-                            && self.core.memory().bound_process(seq).is_some_and(|p| {
-                                !self
-                                    .core
-                                    .memory()
-                                    .would_fault(p, peeked_addr.expect("memory op has address"))
-                            })
+                        self.core.memory().bound_process(seq).is_some_and(|p| {
+                            !self
+                                .core
+                                .memory()
+                                .would_fault(p, peeked_addr.expect("memory op has address"))
+                        })
                     }
                     misp_isa::OpClass::Boundary => false,
                 };
