@@ -189,9 +189,10 @@ fn heap_profile(grid: &GridSpec) -> QueueProfile {
 }
 
 /// Times one single-threaded sweep of `grid`, best of `iters` runs.
-// Wall-clock timing is allowed here (clippy.toml + lint.toml): this is the
-// bench harness measuring host runtime around whole deterministic runs.
-#[allow(clippy::disallowed_methods)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the bench measures host wall-clock time around whole deterministic runs"
+)]
 fn time_grid(grid: &GridSpec, iters: usize) -> f64 {
     let options = SweepOptions {
         threads: 1,

@@ -54,7 +54,6 @@
 //! assert_eq!(shared.level, HitLevel::L2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -35,7 +35,6 @@
 //! assert!(topo.is_oms(p.oms()));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -16,7 +16,10 @@
 //!     misp_harness::alloc_count::CountingAllocator;
 //! ```
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "a global allocator must implement the unsafe `GlobalAlloc` trait"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -76,27 +79,27 @@ pub fn thread_bytes() -> u64 {
 // after `count`, which neither allocates nor panics, so `GlobalAlloc`'s
 // layout/aliasing contract is exactly `System`'s own.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards the caller's layout to `System.alloc` untouched.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        System.alloc(layout)
+        // SAFETY: forwards the caller's layout to `System.alloc` untouched.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: forwards the caller's layout to `System.alloc_zeroed` untouched.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        System.alloc_zeroed(layout)
+        // SAFETY: forwards the caller's layout to `System.alloc_zeroed` untouched.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
-    // SAFETY: forwards the caller's pointer/layout/size to `System.realloc`
-    // untouched, so the caller's obligations transfer verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: forwards the caller's pointer/layout/size to `System.realloc`
+        // untouched, so the caller's obligations transfer verbatim.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
-    // SAFETY: forwards the caller's pointer and layout to `System.dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: forwards the caller's pointer and layout to `System.dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }

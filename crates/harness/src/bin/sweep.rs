@@ -258,9 +258,10 @@ fn artifact_sibling(out: &std::path::Path, suffix: &str) -> PathBuf {
     out.with_file_name(format!("{stem}{suffix}"))
 }
 
-// Wall-clock phase timers are allowed here (clippy.toml + lint.toml): they
-// report host throughput and never feed simulated state or digests.
-#[allow(clippy::disallowed_methods)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "phase timers report host throughput and never feed simulated state or digests"
+)]
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args()) {
         Ok(Some(args)) => args,

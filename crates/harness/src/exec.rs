@@ -162,7 +162,10 @@ fn fleet_sim_metrics(report: &FleetReport) -> SimMetrics {
 /// slot, the aggregate `sim` section, the per-machine `fleet` section, and
 /// merged observability artifacts (fleet traces keep one track per
 /// machine×sequencer pair; interval samples concatenate in machine order).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one fleet grid point needs its record, scenario, fleet, machine and observability inputs"
+)]
 fn execute_fleet_sim(
     mut record: RunRecord,
     s: &Scenario,

@@ -35,9 +35,6 @@
 //! `sweep fig4 --threads 8 --out results/fig4.json` writes the document and
 //! prints Figure 4's table on stdout.
 
-// `unsafe` is denied everywhere but `alloc_count`, the global-allocator
-// wrapper, which allows it module-wide.
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc_count;

@@ -31,7 +31,6 @@
 //! assert_eq!(program.flat_len(), 1 + 1 + 3 * 2 + 1 + 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -152,12 +152,15 @@ impl AddressSpace {
 
     /// Number of currently resident pages.
     #[must_use]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "commutative count; order cannot be observed"
+    )]
     pub fn resident_pages(&self) -> usize {
         let dense: u32 = self.dense.iter().map(|w| w.count_ones()).sum();
         dense as usize
             + self
                 .sparse
-                // lint: unordered-ok(commutative count; order cannot be observed)
                 .values()
                 .filter(|s| **s == PageState::Resident)
                 .count()
@@ -171,6 +174,10 @@ impl AddressSpace {
     }
 
     /// Iterates over the resident pages in arbitrary order.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "documented arbitrary-order iterator; callers sort or count"
+    )]
     pub fn iter_resident(&self) -> impl Iterator<Item = PageId> + '_ {
         self.dense
             .iter()
@@ -182,7 +189,6 @@ impl AddressSpace {
             })
             .chain(
                 self.sparse
-                    // lint: unordered-ok(documented arbitrary-order iterator; callers sort or count)
                     .iter()
                     .filter(|(_, s)| **s == PageState::Resident)
                     .map(|(p, _)| *p),

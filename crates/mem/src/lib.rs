@@ -58,7 +58,6 @@
 //! assert!(outcome.tlb_hit);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -29,7 +29,6 @@
 //! assert!(service.as_u64() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

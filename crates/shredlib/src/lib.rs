@@ -39,7 +39,6 @@
 //! assert_eq!(scheduler.policy(), SchedulingPolicy::Fifo);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

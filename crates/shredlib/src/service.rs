@@ -397,7 +397,6 @@ impl ServiceState {
     /// now.  Untracked shreds (the generator, joiners) always may; a
     /// tracked request that has not yet started must find a free pool
     /// slot.
-    // lint: no-alloc
     pub(crate) fn may_dispatch(&self, shred: ShredId, slot: usize) -> bool {
         match (self.request(shred, slot), self.model.pool_width) {
             (Some(r), Some(width)) if !r.started => self.in_service < width,
@@ -407,7 +406,6 @@ impl ServiceState {
 
     /// Marks `shred`, in cursor-slab slot `slot`, as dispatched (idempotent
     /// for re-dispatch after yield).
-    // lint: no-alloc
     pub(crate) fn dispatched(&mut self, shred: ShredId, slot: usize) {
         if let Some(Some(r)) = self.requests.get_mut(slot) {
             if r.shred == shred && !r.started {
@@ -421,7 +419,6 @@ impl ServiceState {
     /// request, recording its latency from the scheduled arrival.  Returns
     /// `true` when a pool slot was freed (the caller should wake idle
     /// sequencers).
-    // lint: no-alloc
     pub(crate) fn complete(&mut self, shred: ShredId, slot: usize, now: Cycles) -> bool {
         let Some(entry) = self.requests.get_mut(slot) else {
             return false;

@@ -51,7 +51,10 @@ impl ShredLocalStorage {
 
     /// Frees a key, removing every shred's value stored under it.
     pub fn free_key(&mut self, key: u32) {
-        // lint: unordered-ok(pure key filter; visit order cannot be observed)
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "pure key filter; visit order cannot be observed"
+        )]
         self.values.retain(|(_, k), _| *k != key);
         self.freed.push(key);
     }
@@ -69,7 +72,10 @@ impl ShredLocalStorage {
 
     /// Removes all values belonging to `shred` (called when a shred exits).
     pub fn clear_shred(&mut self, shred: ShredId) {
-        // lint: unordered-ok(pure shred filter; visit order cannot be observed)
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "pure shred filter; visit order cannot be observed"
+        )]
         self.values.retain(|(s, _), _| *s != shred);
     }
 

@@ -239,7 +239,6 @@ impl EventQueue {
     /// Appends `ev` to its bucket, maintaining the slot index and occupancy
     /// mask.  Does not touch `len` or the cached minimum.
     #[inline]
-    // lint: no-alloc
     fn place(&mut self, ev: ScheduledEvent) {
         let b = self.bucket_index(ev.time);
         let idx = self.buckets[b].len();
@@ -251,7 +250,6 @@ impl EventQueue {
     /// Removes and returns the entry at `(bucket, idx)`, fixing up the slot
     /// index for both the removed entry and the entry `swap_remove` moved
     /// into its place.
-    // lint: no-alloc
     fn remove_at(&mut self, bucket: usize, idx: usize) -> ScheduledEvent {
         let removed = self.buckets[bucket].swap_remove(idx);
         let slot = Self::slot_of(&removed.event);
@@ -272,7 +270,6 @@ impl EventQueue {
     /// The minimum `(time, seqno)` entry, found by scanning the first
     /// non-empty bucket (buckets are ordered by time, so the minimum cannot
     /// live anywhere else).
-    // lint: no-alloc
     fn scan_min(&self) -> Option<ScheduledEvent> {
         if self.occupied == 0 {
             return None;
@@ -293,7 +290,6 @@ impl EventQueue {
     ///
     /// Panics if `time` precedes the most recently popped event's time: the
     /// radix layout relies on simulation time being monotone non-decreasing.
-    // lint: no-alloc
     pub fn push(&mut self, time: Cycles, event: Event) {
         assert!(
             time.as_u64() >= self.last,
@@ -341,7 +337,6 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event (minimum `(time, seqno)`).
-    // lint: no-alloc
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
         let m = self.min?;
         let b = self.bucket_index(m.time);

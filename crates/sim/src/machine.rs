@@ -547,7 +547,6 @@ impl<P: Platform> Machine<P> {
     /// event-per-operation loop their `SeqReady` events would have popped
     /// back to back.  The state an access writes is therefore first observed
     /// by the same pops, in the same order, in both loops.
-    // lint: no-alloc
     fn step_sequencer(
         &mut self,
         seq: SequencerId,

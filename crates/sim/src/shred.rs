@@ -200,7 +200,6 @@ impl ShredPool {
     /// shred.  The slot's cursor moves to the pool's shared empty program,
     /// so a program built for one shred is freed as soon as that shred is
     /// done.  Finishing a finished shred does nothing.
-    // lint: no-alloc
     pub fn finish(&mut self, id: ShredId) {
         let Some(record) = self.records.get_mut(id.as_usize()) else {
             return;
@@ -228,7 +227,6 @@ impl ShredPool {
     /// its place: the hand-back for a runtime that reuses the program once
     /// the shred has run it to completion.  The shred must not execute
     /// again.  Returns `None` for an unknown or finished shred.
-    // lint: no-alloc
     pub fn release(&mut self, id: ShredId) -> Option<Arc<ShredProgram>> {
         let slot = self.slot(id)?;
         let released = OwnedCursor::new(Arc::clone(&self.released));
@@ -246,7 +244,6 @@ impl ShredPool {
     /// Panics if the cursor holds a peeked operation, which the restart
     /// would drop.  The engine peeks only after an inline operation, so a
     /// runtime op handler never sees one pending.
-    // lint: no-alloc
     pub fn continue_at(
         &mut self,
         id: ShredId,
@@ -331,7 +328,6 @@ impl ShredPool {
 
     /// Returns `true` when every shred belonging to `process` is done.
     /// A process with no shreds counts as done.
-    // lint: no-alloc
     #[must_use]
     pub fn process_done(&self, process: ProcessId) -> bool {
         self.unfinished

@@ -28,7 +28,6 @@
 //! assert!(report.total_cycles >= Cycles::new(10_000));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

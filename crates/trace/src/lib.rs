@@ -40,7 +40,6 @@
 //! assert!(json.contains("\"traceEvents\""));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -13,9 +13,11 @@
 // This module is the one sanctioned home for the std hash tables: they are
 // re-exported below with the fixed-seed FxBuildHasher (clippy.toml bans them
 // with the default RandomState everywhere else).
-#![allow(clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the std tables are re-exported below with the fixed-seed FxBuildHasher"
+)]
 
-// lint: determinism-ok(std tables re-exported below with the fixed-seed FxBuildHasher)
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -87,11 +89,9 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using the deterministic [`FxHasher`].
-// lint: determinism-ok(FxBuildHasher is fixed-seed; this alias IS the sanctioned spelling)
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` using the deterministic [`FxHasher`].
-// lint: determinism-ok(FxBuildHasher is fixed-seed; this alias IS the sanctioned spelling)
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

@@ -22,7 +22,6 @@
 //! assert_eq!(Ring::Ring3.is_user(), true);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -15,7 +15,10 @@ use shredlib::compat::LegacyApi;
 /// `total_work` values used here.  Simulation cost is unaffected because the
 /// engine is event-driven: only the number of *events* matters, not the
 /// number of simulated cycles.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one positional argument per `WorkloadParams` field keeps each catalog entry on one line"
+)]
 fn params(
     total_work: u64,
     serial_fraction: f64,

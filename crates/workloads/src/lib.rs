@@ -38,7 +38,6 @@
 //! assert!(report.total_cycles.as_u64() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -79,7 +79,6 @@
 //! cargo run --release -p misp-harness --bin sweep -- fig4 --out results/fig4.json
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use misp_cache as cache;

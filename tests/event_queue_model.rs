@@ -8,10 +8,10 @@
 //! byte-identical `(time, seqno, event)` sequence for any monotone schedule
 //! of pushes, supersedes and pops.
 
-// The reference model is deliberately allowed a std HashMap (clippy.toml
-// bans it in shipping code): the test never iterates it and determinism of
-// the *model* is irrelevant to the property being checked.
-#![allow(clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the reference model never iterates its std HashMap, and the model's own determinism is irrelevant to the property checked"
+)]
 
 use misp::sim::{Event, EventQueue, ScheduledEvent};
 use misp::types::{Cycles, SequencerId};

@@ -14,6 +14,17 @@
 //! uses too.  It counts allocations per thread, and each audit reads the
 //! count of the thread it runs on, so audits that the test harness runs in
 //! parallel never see each other's allocations.
+//!
+//! These audits are what keeps the hot-path functions allocation-free.  One
+//! allocation per call (a `std::hint::black_box(vec![0u8; 1])` as the first
+//! statement) in any of them fails the audits named:
+//!
+//! | Function | Failing audits |
+//! |---|---|
+//! | `step_sequencer` (`crates/sim/src/machine.rs`) | the three `*step_loop*` audits and `service_requests_allocate_less_than_once_each` |
+//! | the radix heap's `EventQueue::{push, pop, place, remove_at, scan_min}` (`crates/sim/src/event.rs`) | the same four |
+//! | `ShredPool::{finish, release, continue_at, process_done}` (`crates/sim/src/shred.rs`) | `service_requests_allocate_less_than_once_each` |
+//! | `ServiceState::{may_dispatch, dispatched, complete}` (`crates/shredlib/src/service.rs`) | `service_requests_allocate_less_than_once_each` |
 
 use misp::core::{MispMachine, MispTopology};
 use misp::harness::alloc_count::{thread_allocations, thread_bytes, CountingAllocator};
