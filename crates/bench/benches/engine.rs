@@ -1,9 +1,10 @@
 //! Engine wall-clock trajectory bench: times the full `fig4` sweep on one
-//! thread with the macro-step fast path enabled (the default) and with it
-//! force-disabled (the event-per-operation reference loop), plus the
-//! `fleet_service` sweep (the multi-machine path), and *appends* the
-//! measurements to `BENCH_engine.json` at the repository root so the repo
-//! carries a machine-readable perf trajectory from PR to PR.
+//! thread (the macro-step fast path, the default), fig4's workload × machine
+//! matrix run directly with the fast path on and force-disabled (the
+//! event-per-operation reference loop), plus the `fleet_service` sweep (the
+//! multi-machine path), and *appends* the measurements to
+//! `BENCH_engine.json` at the repository root so the repo carries a
+//! machine-readable perf trajectory from PR to PR.
 //!
 //! Regenerate with:
 //!
@@ -25,10 +26,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use misp_core::{FleetTopology, LoadBalancerPolicy};
-use misp_harness::{
-    grids, run_grid, run_grid_with_artifacts, GridSpec, RunKind, SweepOptions, VerifyMode,
-};
-use misp_sim::QueueProfile;
+use misp_harness::{grids, run_grid, run_grid_with_artifacts, GridSpec, SweepOptions, VerifyMode};
+use misp_sim::{QueueProfile, SimConfig};
 use misp_workloads::{catalog, scenario, Machine, Run};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -46,7 +45,9 @@ struct BenchEntry {
     /// Total simulated operations executed by one sweep of the grid.
     total_ops: u64,
     /// Wall-clock milliseconds of one single-threaded sweep of the grid
-    /// (best of the measured iterations).
+    /// (best of the measured iterations).  Newer `event-per-op` entries
+    /// time fig4's matrix run directly through `Run`, without the sweep's
+    /// record assembly, so they read slightly below older sweep timings.
     wall_ms: f64,
     /// Simulated operations retired per wall-clock second at that speed.
     ops_per_sec: f64,
@@ -69,8 +70,8 @@ struct BenchDoc {
     schema_version: u32,
     /// Per-PR measurements, append-only (oldest first).
     entries: Vec<BenchEntry>,
-    /// Latest `event-per-op` wall-clock divided by latest `macro-step`
-    /// wall-clock.
+    /// Wall-clock of fig4's matrix run directly with batching off, divided
+    /// by the same with batching on.
     speedup_macro_step: f64,
     /// Wall-clock of the pre-macro-step seed engine on the same grid and
     /// machine, when known (passed via `MISP_BENCH_SEED_MS`; the seed
@@ -92,25 +93,13 @@ fn load_prior(path: &PathBuf) -> (Vec<BenchEntry>, Option<f64>) {
     }
 }
 
-/// The fig4 grid with the macro-step fast path force-disabled on every
-/// simulation point.
-fn fig4_event_per_op() -> GridSpec {
-    let mut grid = grids::fig4();
-    for run in &mut grid.runs {
-        if let RunKind::Sim(sim) = &mut run.kind {
-            sim.batch = false;
-        }
-    }
-    grid
-}
-
-/// Counts the simulated operations of one fig4 sweep by re-running its
-/// workload × machine matrix directly (the sweep results intentionally do
-/// not carry op counts).
-fn fig4_total_ops() -> u64 {
-    let config = misp_harness::experiment_config();
+/// Runs fig4's workload × machine matrix directly through [`Run`] under
+/// `config`, returning the simulated operations retired and the summed
+/// event-queue profile (the sweep results intentionally carry neither).
+fn fig4_matrix(config: SimConfig) -> (u64, QueueProfile) {
     let topo = misp_core::MispTopology::uniprocessor(7).expect("1 OMS + 7 AMS");
-    let mut total = 0u64;
+    let mut ops = 0u64;
+    let mut queue = QueueProfile::default();
     for w in catalog::all() {
         for machine in [
             Machine::Serial,
@@ -122,15 +111,16 @@ fn fig4_total_ops() -> u64 {
                 .config(config)
                 .execute()
                 .expect("fig4 machine run");
-            total += report
+            ops += report
                 .stats
                 .per_sequencer
                 .iter()
                 .map(|s| s.ops)
                 .sum::<u64>();
+            queue.absorb(&report.queue);
         }
     }
-    total
+    (ops, queue)
 }
 
 /// Counts the simulated operations of one fleet_service sweep by re-running
@@ -188,35 +178,48 @@ fn heap_profile(grid: &GridSpec) -> QueueProfile {
     total
 }
 
-/// Times one single-threaded sweep of `grid`, best of `iters` runs.
+/// Times `job`, best of `iters` runs, in milliseconds.
 #[allow(
     clippy::disallowed_methods,
     reason = "the bench measures host wall-clock time around whole deterministic runs"
 )]
+fn time_best<T>(iters: usize, mut job: impl FnMut() -> T) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..iters {
+        let start = Instant::now();
+        black_box(job());
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+/// Times one single-threaded sweep of `grid`, best of `iters` runs.
 fn time_grid(grid: &GridSpec, iters: usize) -> f64 {
     let options = SweepOptions {
         threads: 1,
         verify: VerifyMode::Off,
     };
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        black_box(run_grid(grid, &options).expect("fig4 sweeps cleanly"));
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
+    time_best(iters, || {
+        run_grid(grid, &options).expect("grid sweeps cleanly")
+    })
 }
 
 fn emit_trajectory(test_mode: bool) {
     let iters = if test_mode { 1 } else { 12 };
     let pr = std::env::var("MISP_BENCH_PR").unwrap_or_else(|_| "dev".to_string());
     let batched = grids::fig4();
-    let reference = fig4_event_per_op();
+    let macro_step = misp_harness::experiment_config();
+    let event_per_op = SimConfig {
+        batch: false,
+        ..macro_step
+    };
     let fleet_grid = grids::fleet_service();
     let on_ms = time_grid(&batched, iters);
-    let off_ms = time_grid(&reference, iters);
+    let matrix_on_ms = time_best(iters, || fig4_matrix(macro_step));
+    let off_ms = time_best(iters, || fig4_matrix(event_per_op));
     let fleet_ms = time_grid(&fleet_grid, iters);
-    let total_ops = fig4_total_ops();
+    let (total_ops, _) = fig4_matrix(macro_step);
+    let (_, off_heap) = fig4_matrix(event_per_op);
     let fleet_ops = fleet_service_total_ops();
     let entry = |grid: &str, config: &str, ops: u64, wall_ms: f64, heap: QueueProfile| BenchEntry {
         pr: pr.clone(),
@@ -259,13 +262,7 @@ fn emit_trajectory(test_mode: bool) {
     );
     let fresh_ops_per_sec = fresh.ops_per_sec;
     entries.push(fresh);
-    entries.push(entry(
-        "fig4",
-        "event-per-op",
-        total_ops,
-        off_ms,
-        heap_profile(&reference),
-    ));
+    entries.push(entry("fig4", "event-per-op", total_ops, off_ms, off_heap));
     // The fleet case rides along for trajectory visibility; the regression
     // gate below stays anchored on the fig4 macro-step entry.
     entries.push(entry(
@@ -278,7 +275,7 @@ fn emit_trajectory(test_mode: bool) {
     let doc = BenchDoc {
         schema_version: 2,
         entries,
-        speedup_macro_step: ((off_ms / on_ms) * 100.0).round() / 100.0,
+        speedup_macro_step: ((off_ms / matrix_on_ms) * 100.0).round() / 100.0,
         reference_seed_wall_ms: seed_ms,
         speedup_vs_seed: seed_ms.map(|s| ((s / on_ms) * 100.0).round() / 100.0),
     };
@@ -286,10 +283,10 @@ fn emit_trajectory(test_mode: bool) {
     json.push('\n');
     std::fs::write(&out, &json).expect("write BENCH_engine.json");
     println!(
-        "BENCH_engine.json [{pr}]: macro-step {on_ms:.2} ms, event-per-op {off_ms:.2} ms \
-         ({:.2}x), {total_ops} simulated ops; fleet_service {fleet_ms:.2} ms, \
-         {fleet_ops} ops -> {}",
-        off_ms / on_ms,
+        "BENCH_engine.json [{pr}]: macro-step {on_ms:.2} ms; direct matrix {matrix_on_ms:.2} ms, \
+         event-per-op {off_ms:.2} ms ({:.2}x), {total_ops} simulated ops; fleet_service \
+         {fleet_ms:.2} ms, {fleet_ops} ops -> {}",
+        off_ms / matrix_on_ms,
         out.display()
     );
 

@@ -76,17 +76,6 @@ impl CacheStats {
         self.l1_hits + self.l2_hits + self.total_misses()
     }
 
-    /// Memory-level miss rate in `[0, 1]`; zero when nothing was accessed.
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.total_misses() as f64 / total as f64
-        }
-    }
-
     /// Accumulates `other` into `self` (used for machine-wide aggregation).
     pub fn merge(&mut self, other: &CacheStats) {
         self.l1_hits += other.l1_hits;
@@ -625,7 +614,5 @@ mod tests {
         assert_eq!(b.l1_hits, 2);
         assert_eq!(b.total_misses(), 24);
         assert_eq!(b.accesses(), 30);
-        assert!(b.miss_rate() > 0.0);
-        assert_eq!(CacheStats::default().miss_rate(), 0.0);
     }
 }

@@ -32,7 +32,7 @@
 //! assert_eq!(topo.processors().len(), 1);
 //! let p = &topo.processors()[0];
 //! assert_eq!(p.ams().len(), 3);
-//! assert!(topo.is_oms(p.oms()));
+//! assert_eq!(topo.all_oms(), [p.oms()]);
 //! ```
 
 #![warn(missing_docs)]

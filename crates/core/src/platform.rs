@@ -345,7 +345,6 @@ impl Platform for MispPlatform {
         let costs = *core.costs();
         let signal = costs.signal_cycles();
         let priv_time = core.kernel().service_cost(kind);
-        core.kernel_mut().record_event(kind);
 
         if seq == oms {
             // Local Ring 3 -> Ring 0 transition on the OS-managed sequencer.
@@ -416,12 +415,10 @@ impl Platform for MispPlatform {
         debug_assert_eq!(cpu, oms, "timer ticks are delivered to OMSs only");
         core.log_event(oms, TraceKind::TimerTick);
         core.stats_mut().record_event(oms, OsEventKind::Timer, true);
-        core.kernel_mut().record_event(OsEventKind::Timer);
         let mut priv_time = core.kernel().service_cost(OsEventKind::Timer);
         if core.config().timer.is_other_interrupt_tick(tick) {
             core.stats_mut()
                 .record_event(oms, OsEventKind::OtherInterrupt, true);
-            core.kernel_mut().record_event(OsEventKind::OtherInterrupt);
             priv_time += core.kernel().service_cost(OsEventKind::OtherInterrupt);
         }
 

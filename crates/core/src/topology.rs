@@ -13,12 +13,6 @@ pub struct MispProcessor {
 }
 
 impl MispProcessor {
-    /// The processor identifier.
-    #[must_use]
-    pub fn id(&self) -> MispProcessorId {
-        self.id
-    }
-
     /// The OS-managed sequencer.
     #[must_use]
     pub fn oms(&self) -> SequencerId {
@@ -171,29 +165,11 @@ impl MispTopology {
         self.processors.iter().map(|p| p.ams.len()).sum()
     }
 
-    /// The processor that `seq` belongs to.
-    #[must_use]
-    pub fn processor_of(&self, seq: SequencerId) -> Option<&MispProcessor> {
-        self.processors.iter().find(|p| p.contains(seq))
-    }
-
     /// The index (within [`MispTopology::processors`]) of the processor that
     /// `seq` belongs to.
     #[must_use]
     pub fn processor_index_of(&self, seq: SequencerId) -> Option<usize> {
         self.processors.iter().position(|p| p.contains(seq))
-    }
-
-    /// Returns `true` if `seq` is an OS-managed sequencer.
-    #[must_use]
-    pub fn is_oms(&self, seq: SequencerId) -> bool {
-        self.processors.iter().any(|p| p.oms == seq)
-    }
-
-    /// Returns `true` if `seq` is an application-managed sequencer.
-    #[must_use]
-    pub fn is_ams(&self, seq: SequencerId) -> bool {
-        self.processors.iter().any(|p| p.ams.contains(&seq))
     }
 
     /// All OMSs, in processor order (these are the CPUs the OS sees).
@@ -278,16 +254,9 @@ mod tests {
     fn role_queries() {
         let t = MispTopology::uniform(2, 1).unwrap();
         // Layout: P0 = {0 oms, 1 ams}, P1 = {2 oms, 3 ams}.
-        assert!(t.is_oms(SequencerId::new(0)));
-        assert!(t.is_ams(SequencerId::new(1)));
-        assert!(t.is_oms(SequencerId::new(2)));
-        assert!(t.is_ams(SequencerId::new(3)));
-        assert!(!t.is_oms(SequencerId::new(9)));
+        assert_eq!(t.processors()[0].ams(), [SequencerId::new(1)]);
+        assert_eq!(t.processors()[1].ams(), [SequencerId::new(3)]);
         assert_eq!(t.processor_index_of(SequencerId::new(3)), Some(1));
-        assert_eq!(
-            t.processor_of(SequencerId::new(3)).unwrap().id(),
-            MispProcessorId::new(1)
-        );
         assert_eq!(t.processor_index_of(SequencerId::new(9)), None);
         assert_eq!(t.all_oms(), vec![SequencerId::new(0), SequencerId::new(2)]);
     }

@@ -93,12 +93,6 @@ impl TriggerResponseRegistry {
     pub fn invocations(&self) -> u64 {
         self.invocations
     }
-
-    /// The fly-weight control-transfer cost.
-    #[must_use]
-    pub fn transfer_cost(&self) -> Cycles {
-        self.transfer_cost
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +111,6 @@ mod tests {
             Some(Cycles::new(1_200))
         );
         assert_eq!(r.invocations(), 1);
-        assert_eq!(r.transfer_cost(), Cycles::new(200));
     }
 
     #[test]

@@ -255,7 +255,6 @@ fn execute_sim(index: usize, spec: &RunSpec, sim: &SimSpec) -> Result<(RunRecord
     if let Some(cache) = sim.cache {
         config = config.with_cache(cache);
     }
-    config.batch = sim.batch;
     if sim.trace || sim.metrics_interval > 0 {
         config.trace = TraceConfig {
             enabled: sim.trace,

@@ -183,7 +183,7 @@ pub struct SimMetrics {
     pub tlb_hits: u64,
     /// Machine-wide TLB misses.
     pub tlb_misses: u64,
-    /// Machine-wide TLB flushes (CR3 writes and shootdowns).
+    /// Machine-wide TLB flushes (CR3 writes).
     pub tlb_flushes: u64,
     /// Machine-wide cache totals; present exactly when the run modeled the
     /// cache hierarchy.

@@ -264,12 +264,6 @@ pub struct SimSpec {
     /// Cache-hierarchy override; `None` keeps the default disabled cache
     /// model (the paper's flat memory cost).
     pub cache: Option<CacheConfig>,
-    /// Whether the engine may use its macro-step fast path
-    /// ([`misp_sim::SimConfig::batch`]).  On by default; results are
-    /// byte-identical either way, so this knob exists for benchmarking the
-    /// event-per-operation engine and is deliberately not recorded in the
-    /// results schema.
-    pub batch: bool,
     /// Record a structured trace ring during the run
     /// ([`misp_sim::TraceConfig::enabled`]).  Off by default; tracing never
     /// changes simulation results, only the artifacts attached to the run.
@@ -295,7 +289,6 @@ impl SimSpec {
             competitors: 0,
             ams_span_only: false,
             cache: None,
-            batch: true,
             trace: false,
             metrics_interval: 0,
             fleet: None,
@@ -360,13 +353,6 @@ impl SimSpec {
     #[must_use]
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Selects whether the engine may use its macro-step fast path.
-    #[must_use]
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -592,7 +578,6 @@ mod tests {
             .with_ring_policy(RingPolicy::Speculative)
             .with_competitors(2)
             .with_ams_span_only()
-            .with_batch(false)
             .with_trace(true)
             .with_metrics_interval(10_000);
         assert_eq!(spec.source, WorkSource::Workload("dense_mvm".to_string()));
@@ -601,7 +586,6 @@ mod tests {
         assert_eq!(spec.ring_policy, Some(RingPolicy::Speculative));
         assert_eq!(spec.competitors, 2);
         assert!(spec.ams_span_only);
-        assert!(!spec.batch);
         assert!(spec.cache.is_none());
         assert!(spec.trace);
         assert_eq!(spec.metrics_interval, 10_000);

@@ -279,7 +279,10 @@ mod tests {
             .shred_exit()
             .build();
         assert_eq!(p.flat_len(), 15);
-        assert!(p.iter_flat().take(14).all(|op| op.is_runtime()));
+        assert!(p
+            .iter_flat()
+            .take(14)
+            .all(|op| matches!(op, Op::Runtime(_))));
     }
 
     #[test]

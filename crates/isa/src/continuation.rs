@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let k = Continuation::new(ProgramRef::new(2), VirtAddr::new(0x401000), VirtAddr::new(0x7fff_0000));
 /// assert_eq!(k.program(), ProgramRef::new(2));
-/// assert_eq!(k.eip(), VirtAddr::new(0x401000));
+/// assert!(k.to_string().starts_with("<eip=0x401000"));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Continuation {
@@ -56,18 +56,6 @@ impl Continuation {
     pub const fn program(&self) -> ProgramRef {
         self.program
     }
-
-    /// The starting instruction pointer.
-    #[must_use]
-    pub const fn eip(&self) -> VirtAddr {
-        self.eip
-    }
-
-    /// The stack pointer.
-    #[must_use]
-    pub const fn esp(&self) -> VirtAddr {
-        self.esp
-    }
 }
 
 impl fmt::Display for Continuation {
@@ -88,9 +76,8 @@ mod tests {
             VirtAddr::new(0x2000),
         );
         assert_eq!(k.program(), ProgramRef::new(1));
-        assert_eq!(k.eip(), VirtAddr::new(0x1000));
-        assert_eq!(k.esp(), VirtAddr::new(0x2000));
-        assert!(k.to_string().contains("0x1000"));
+        assert!(k.to_string().contains("eip=0x1000"));
+        assert!(k.to_string().contains("esp=0x2000"));
     }
 
     #[test]
@@ -98,7 +85,7 @@ mod tests {
         let a = Continuation::for_program(ProgramRef::new(0));
         let b = Continuation::for_program(ProgramRef::new(1));
         assert_eq!(a, Continuation::for_program(ProgramRef::new(0)));
-        assert_ne!(a.eip(), b.eip());
-        assert_ne!(a.esp(), b.esp());
+        assert_ne!(a.eip, b.eip);
+        assert_ne!(a.esp, b.esp);
     }
 }

@@ -196,19 +196,6 @@ impl Op {
             kind: AccessKind::Store,
         }
     }
-
-    /// Returns `true` if executing this operation may require OS services
-    /// (and therefore a ring transition or proxy execution).
-    #[must_use]
-    pub const fn may_trap(&self) -> bool {
-        matches!(self, Op::Syscall(_) | Op::Touch { .. })
-    }
-
-    /// Returns `true` if this operation is handled by the user-level runtime.
-    #[must_use]
-    pub const fn is_runtime(&self) -> bool {
-        matches!(self, Op::Runtime(_))
-    }
 }
 
 impl fmt::Display for Op {
@@ -246,16 +233,6 @@ mod tests {
                 kind: AccessKind::Store
             }
         );
-    }
-
-    #[test]
-    fn trap_classification() {
-        assert!(Op::Syscall(SyscallKind::Io).may_trap());
-        assert!(Op::load(VirtAddr::new(0)).may_trap());
-        assert!(!Op::Compute(Cycles::new(10)).may_trap());
-        assert!(!Op::Halt.may_trap());
-        assert!(Op::Runtime(RuntimeOp::ShredExit).is_runtime());
-        assert!(!Op::Halt.is_runtime());
     }
 
     #[test]

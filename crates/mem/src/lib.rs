@@ -16,7 +16,7 @@
 //!   replacement, flushed on CR3 writes, with misses serviced by the hardware
 //!   page walker (no OS involvement, exactly as the paper describes).
 //! * [`MemorySystem`] — the per-machine aggregation of address spaces and
-//!   per-sequencer TLBs, including CR3 tracking and TLB-shootdown bookkeeping.
+//!   per-sequencer TLBs, including CR3 tracking.
 //! * [`WorkingSet`] / [`AccessPattern`] — helpers used by workload generators
 //!   to lay out realistic page footprints.
 //!
@@ -67,7 +67,7 @@ mod system;
 mod tlb;
 mod working_set;
 
-pub use address_space::{AddressSpace, PageState};
+pub use address_space::AddressSpace;
 pub use pattern::AccessPattern;
 pub use system::{MemoryOutcome, MemorySystem};
 pub use tlb::{Tlb, TlbStats};

@@ -25,7 +25,7 @@ pub struct MemoryOutcome {
 ///
 /// It owns one [`AddressSpace`] per process and one [`Tlb`] per sequencer, and
 /// tracks which process each sequencer's CR3 currently points at (so that
-/// context switches and TLB shootdowns flush the right TLBs).
+/// context switches flush the right TLBs).
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     /// One address space per registered process, indexed by
@@ -37,7 +37,6 @@ pub struct MemorySystem {
     /// Which process each sequencer's CR3 points at (None = idle).
     cr3: Vec<Option<ProcessId>>,
     tlb_capacity: usize,
-    shootdowns: u64,
     /// The coherent cache hierarchy; `None` while the cache model is disabled
     /// (see [`MemorySystem::configure_caches`]).
     caches: Option<CacheHierarchy>,
@@ -58,7 +57,6 @@ impl MemorySystem {
             tlbs: (0..sequencers).map(|_| Tlb::new(tlb_capacity)).collect(),
             cr3: vec![None; sequencers],
             tlb_capacity,
-            shootdowns: 0,
             caches: None,
         }
     }
@@ -95,12 +93,6 @@ impl MemorySystem {
     #[must_use]
     pub fn cache_enabled(&self) -> bool {
         self.caches.is_some()
-    }
-
-    /// The cache hierarchy, if enabled.
-    #[must_use]
-    pub fn caches(&self) -> Option<&CacheHierarchy> {
-        self.caches.as_ref()
     }
 
     /// Cache statistics for `sequencer`; `None` when the cache model is
@@ -165,21 +157,6 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Unbinds `sequencer` (e.g. when its MISP processor's thread is context
-    /// switched away), flushing its TLB.
-    pub fn unbind_sequencer(&mut self, sequencer: SequencerId) -> Result<()> {
-        let idx = sequencer.as_usize();
-        let slot = self
-            .cr3
-            .get_mut(idx)
-            .ok_or(MispError::UnknownSequencer(sequencer))?;
-        if slot.is_some() {
-            *slot = None;
-            self.tlbs[idx].flush();
-        }
-        Ok(())
-    }
-
     /// The process `sequencer`'s CR3 currently points at.
     #[must_use]
     pub fn bound_process(&self, sequencer: SequencerId) -> Option<ProcessId> {
@@ -229,38 +206,6 @@ impl MemorySystem {
         self.address_space(pid)
             .map(|s| !s.is_resident(addr.page()))
             .unwrap_or(true)
-    }
-
-    /// Pre-touches `pages` pages starting at `base` for `pid`, modelling the
-    /// serial-region page probe optimization from Section 5.3.
-    pub fn pretouch_range(&mut self, pid: ProcessId, base: VirtAddr, pages: u64) {
-        if let Some(space) = self.spaces.get_mut(pid.as_usize()).and_then(Option::as_mut) {
-            for i in 0..pages {
-                space.pretouch(PageId::new(base.page().number() + i));
-            }
-        }
-    }
-
-    /// Performs a TLB shootdown: flushes the TLB of every sequencer whose CR3
-    /// points at `pid`.  Returns the sequencers that were flushed.  This is
-    /// the SMP mechanism the paper notes keeps working unchanged under MISP
-    /// (Section 2.6).
-    pub fn tlb_shootdown(&mut self, pid: ProcessId) -> Vec<SequencerId> {
-        let mut flushed = Vec::new();
-        for (idx, bound) in self.cr3.iter().enumerate() {
-            if *bound == Some(pid) {
-                self.tlbs[idx].flush();
-                flushed.push(SequencerId::new(idx as u32));
-            }
-        }
-        self.shootdowns += 1;
-        flushed
-    }
-
-    /// Number of TLB shootdowns performed.
-    #[must_use]
-    pub fn shootdown_count(&self) -> u64 {
-        self.shootdowns
     }
 
     /// The address space of `pid`, if registered.
@@ -358,30 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn unbind_flushes_once() {
-        let (mut mem, _) = setup();
-        let s = SequencerId::new(1);
-        let before = mem.tlb_stats(s).unwrap().flushes;
-        mem.unbind_sequencer(s).unwrap();
-        assert_eq!(mem.tlb_stats(s).unwrap().flushes, before + 1);
-        assert_eq!(mem.bound_process(s), None);
-        // Unbinding an already-unbound sequencer does not flush again.
-        mem.unbind_sequencer(s).unwrap();
-        assert_eq!(mem.tlb_stats(s).unwrap().flushes, before + 1);
-    }
-
-    #[test]
-    fn pretouch_suppresses_faults() {
-        let (mut mem, pid) = setup();
-        mem.pretouch_range(pid, VirtAddr::new(0), 16);
-        for i in 0..16 {
-            let o = mem.access(SequencerId::new(0), VirtAddr::new(i * PAGE_SIZE), false);
-            assert!(!o.page_fault, "page {i} should be pre-touched");
-        }
-        assert_eq!(mem.address_space(pid).unwrap().compulsory_faults(), 0);
-    }
-
-    #[test]
     fn would_fault_reflects_residency() {
         let (mut mem, pid) = setup();
         let addr = VirtAddr::new(3 * PAGE_SIZE);
@@ -392,21 +313,6 @@ mod tests {
             mem.would_fault(ProcessId::new(42), addr),
             "unknown process always faults"
         );
-    }
-
-    #[test]
-    fn shootdown_flushes_only_bound_sequencers() {
-        let mut mem = MemorySystem::new(3, 8);
-        let a = ProcessId::new(0);
-        let b = ProcessId::new(1);
-        mem.register_process(a);
-        mem.register_process(b);
-        mem.bind_sequencer(SequencerId::new(0), a).unwrap();
-        mem.bind_sequencer(SequencerId::new(1), a).unwrap();
-        mem.bind_sequencer(SequencerId::new(2), b).unwrap();
-        let flushed = mem.tlb_shootdown(a);
-        assert_eq!(flushed, vec![SequencerId::new(0), SequencerId::new(1)]);
-        assert_eq!(mem.shootdown_count(), 1);
     }
 
     #[test]

@@ -10,21 +10,8 @@ pub struct TlbStats {
     pub hits: u64,
     /// Number of lookups that missed (serviced by the hardware page walker).
     pub misses: u64,
-    /// Number of full flushes (CR3 writes and explicit shootdowns).
+    /// Number of full flushes (CR3 writes).
     pub flushes: u64,
-}
-
-impl TlbStats {
-    /// Hit rate in the range `[0, 1]`; zero when no lookups have occurred.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// A per-sequencer TLB with true-LRU replacement.
@@ -34,7 +21,7 @@ impl TlbStats {
 /// independently by each sequencer's hardware page walker without OS
 /// involvement — so a TLB miss is *not* a serializing event.  The TLB exists
 /// in the model so the memory system can charge the page-walk latency and so
-/// CR3/TLB-shootdown behaviour is observable in tests.
+/// CR3 flush behaviour is observable in tests.
 ///
 /// # Examples
 ///
@@ -203,7 +190,7 @@ impl Tlb {
         self.map.contains_key(&page)
     }
 
-    /// Flushes the entire TLB, as a CR3 write or TLB shootdown IPI does.
+    /// Flushes the entire TLB, as a CR3 write does.
     pub fn flush(&mut self) {
         self.map.clear();
         self.nodes.clear();
@@ -245,13 +232,6 @@ mod tests {
         assert!(tlb.lookup_insert(PageId::new(1)));
         assert_eq!(tlb.stats().hits, 1);
         assert_eq!(tlb.stats().misses, 1);
-        assert!((tlb.stats().hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hit_rate_with_no_lookups_is_zero() {
-        let tlb = Tlb::new(4);
-        assert_eq!(tlb.stats().hit_rate(), 0.0);
     }
 
     #[test]

@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// let matrix = WorkingSet::new("matrix A", VirtAddr::new(0x1000_0000), 512);
 /// assert_eq!(matrix.pages(), 512);
-/// let (lo, hi) = matrix.split(2)[0].clone().page_range();
-/// assert!(hi > lo);
+/// let halves = matrix.split(2);
+/// assert_eq!(halves[1].base(), matrix.page_addr(256));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkingSet {
@@ -67,13 +67,6 @@ impl WorkingSet {
     #[must_use]
     pub fn bytes(&self) -> u64 {
         self.pages * PAGE_SIZE
-    }
-
-    /// The half-open page-number range `[first, last)` covered by this set.
-    #[must_use]
-    pub fn page_range(&self) -> (u64, u64) {
-        let first = self.base.page().number();
-        (first, first + self.pages)
     }
 
     /// The address of byte `offset` within the working set.
@@ -148,7 +141,6 @@ mod tests {
         let w = WorkingSet::new("w", VirtAddr::new(4 * PAGE_SIZE), 10);
         assert_eq!(w.pages(), 10);
         assert_eq!(w.bytes(), 10 * PAGE_SIZE);
-        assert_eq!(w.page_range(), (4, 14));
         assert_eq!(w.page_addr(0), VirtAddr::new(4 * PAGE_SIZE));
         assert_eq!(w.page_addr(9), VirtAddr::new(13 * PAGE_SIZE));
         assert_eq!(w.addr(5), VirtAddr::new(4 * PAGE_SIZE + 5));
@@ -178,9 +170,15 @@ mod tests {
         let total: u64 = parts.iter().map(WorkingSet::pages).sum();
         assert_eq!(total, 10);
         // Contiguous and non-overlapping.
-        assert_eq!(parts[0].page_range(), (0, 3));
-        assert_eq!(parts[1].page_range(), (3, 6));
-        assert_eq!(parts[2].page_range(), (6, 10));
+        let extents: Vec<(VirtAddr, u64)> = parts.iter().map(|p| (p.base(), p.pages())).collect();
+        assert_eq!(
+            extents,
+            [
+                (w.page_addr(0), 3),
+                (w.page_addr(3), 3),
+                (w.page_addr(6), 4)
+            ]
+        );
         assert_eq!(parts[2].name(), "w[2]");
     }
 
@@ -189,7 +187,7 @@ mod tests {
         let w = WorkingSet::new("w", VirtAddr::new(PAGE_SIZE), 5);
         let parts = w.split(1);
         assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].page_range(), w.page_range());
+        assert_eq!((parts[0].base(), parts[0].pages()), (w.base(), w.pages()));
     }
 
     #[test]

@@ -32,13 +32,6 @@ impl OsEventKind {
             OsEventKind::OtherInterrupt,
         ]
     }
-
-    /// Returns `true` for events that originate from program behaviour
-    /// (syscalls, page faults) rather than asynchronously from hardware.
-    #[must_use]
-    pub const fn is_synchronous(self) -> bool {
-        matches!(self, OsEventKind::Syscall | OsEventKind::PageFault)
-    }
 }
 
 impl From<SyscallKind> for OsEventKind {
@@ -120,14 +113,6 @@ mod tests {
         assert_eq!(OsEventKind::PageFault.to_string(), "page-fault");
         assert_eq!(OsEventKind::Timer.to_string(), "timer");
         assert_eq!(OsEventKind::OtherInterrupt.to_string(), "interrupt");
-    }
-
-    #[test]
-    fn synchronous_classification() {
-        assert!(OsEventKind::Syscall.is_synchronous());
-        assert!(OsEventKind::PageFault.is_synchronous());
-        assert!(!OsEventKind::Timer.is_synchronous());
-        assert!(!OsEventKind::OtherInterrupt.is_synchronous());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The kernel model: process/thread bookkeeping and privileged service times.
 
-use crate::{OsEventCounts, OsEventKind, OsThread, Process, ThreadState};
+use crate::{OsEventKind, OsThread, Process, ThreadState};
 use misp_types::{Arena, CostModel, Cycles, MispError, OsThreadId, ProcessId, Result};
 
 /// The simulated OS kernel.
 ///
 /// The kernel owns the process and thread tables and knows how long each
-/// privileged service takes (from the [`CostModel`]).  It also accumulates the
-/// per-category event counts that feed Table 1.
+/// privileged service takes (from the [`CostModel`]).  The per-category event
+/// counts that feed Table 1 live in the engine's `SimStats`.
 ///
 /// The kernel deliberately does *not* drive time itself: the machine models in
 /// `misp-core` and `misp-smp` decide *when* ring transitions happen and ask
@@ -21,7 +21,6 @@ pub struct Kernel {
     processes: Arena<ProcessId, Process>,
     /// Thread table, indexed by [`OsThreadId`].
     threads: Arena<OsThreadId, OsThread>,
-    events: OsEventCounts,
 }
 
 impl Kernel {
@@ -32,7 +31,6 @@ impl Kernel {
             costs,
             processes: Arena::new(),
             threads: Arena::new(),
-            events: OsEventCounts::default(),
         }
     }
 
@@ -76,18 +74,6 @@ impl Kernel {
         self.threads.get(tid)
     }
 
-    /// Number of processes spawned so far.
-    #[must_use]
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
-    }
-
-    /// Number of threads spawned so far.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Updates the scheduling state of a thread.
     ///
     /// # Errors
@@ -128,17 +114,6 @@ impl Kernel {
             self.costs.context_switch + self.costs.ams_state_save
         }
     }
-
-    /// Records one privileged event (for Table 1 accounting at kernel level).
-    pub fn record_event(&mut self, kind: OsEventKind) {
-        self.events.record(kind);
-    }
-
-    /// The aggregate event counts recorded so far.
-    #[must_use]
-    pub fn event_counts(&self) -> OsEventCounts {
-        self.events
-    }
 }
 
 #[cfg(test)]
@@ -156,8 +131,6 @@ mod tests {
         let t2 = k.spawn_thread(p1);
         assert_eq!(k.process(p0).unwrap().threads(), &[t0, t1]);
         assert_eq!(k.process(p1).unwrap().threads(), &[t2]);
-        assert_eq!(k.process_count(), 2);
-        assert_eq!(k.thread_count(), 3);
         assert_eq!(k.thread(t2).unwrap().process(), p1);
     }
 
@@ -207,17 +180,5 @@ mod tests {
         assert_eq!(k.context_switch_cost(1), Cycles::new(110));
         // Concurrent save: does not scale with AMS count.
         assert_eq!(k.context_switch_cost(7), Cycles::new(110));
-    }
-
-    #[test]
-    fn event_recording() {
-        let mut k = Kernel::new(CostModel::default());
-        k.record_event(OsEventKind::Syscall);
-        k.record_event(OsEventKind::Timer);
-        k.record_event(OsEventKind::Timer);
-        let counts = k.event_counts();
-        assert_eq!(counts.syscalls, 1);
-        assert_eq!(counts.timer, 2);
-        assert_eq!(counts.total(), 3);
     }
 }

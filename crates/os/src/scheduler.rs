@@ -67,13 +67,6 @@ impl CpuScheduler {
         self.running
     }
 
-    /// Number of threads waiting in the ready queue (excluding the running
-    /// thread).
-    #[must_use]
-    pub fn ready_count(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Total threads assigned to this CPU (running + ready).
     #[must_use]
     pub fn load(&self) -> usize {
@@ -117,31 +110,6 @@ impl CpuScheduler {
             None
         }
     }
-
-    /// Removes the running thread (it blocked or exited).  The CPU becomes
-    /// idle until [`CpuScheduler::dispatch`] is called.
-    ///
-    /// Returns the thread that was running, if any.
-    pub fn remove_running(&mut self) -> Option<OsThreadId> {
-        self.ticks_on_cpu = 0;
-        self.running.take()
-    }
-
-    /// Removes a thread from the ready queue (it exited while waiting or is
-    /// being migrated).  Returns `true` if the thread was present.
-    pub fn remove_ready(&mut self, tid: OsThreadId) -> bool {
-        if let Some(pos) = self.ready.iter().position(|t| *t == tid) {
-            self.ready.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Iterates over the ready queue from front (next to run) to back.
-    pub fn iter_ready(&self) -> impl Iterator<Item = OsThreadId> + '_ {
-        self.ready.iter().copied()
-    }
 }
 
 /// Scheduling state for a whole machine: one [`CpuScheduler`] per OS-visible
@@ -170,12 +138,6 @@ impl SystemScheduler {
             policy,
             next_round_robin: 0,
         }
-    }
-
-    /// Number of OS-visible CPUs.
-    #[must_use]
-    pub fn cpu_count(&self) -> usize {
-        self.cpus.len()
     }
 
     /// The placement policy in effect.
@@ -240,12 +202,6 @@ impl SystemScheduler {
     pub fn place_on(&mut self, tid: OsThreadId, cpu: usize) {
         assert!(cpu < self.cpus.len(), "CPU index out of range");
         self.cpus[cpu].enqueue(tid);
-    }
-
-    /// Total number of ready or running threads across all CPUs.
-    #[must_use]
-    pub fn total_load(&self) -> usize {
-        self.cpus.iter().map(CpuScheduler::load).sum()
     }
 }
 
@@ -312,27 +268,14 @@ mod tests {
     }
 
     #[test]
-    fn remove_running_and_ready() {
-        let mut s = CpuScheduler::new(1);
-        s.enqueue(t(0));
-        s.enqueue(t(1));
-        s.dispatch();
-        assert_eq!(s.remove_running(), Some(t(0)));
-        assert_eq!(s.running(), None);
-        assert!(s.remove_ready(t(1)));
-        assert!(!s.remove_ready(t(1)));
-        assert_eq!(s.load(), 0);
-    }
-
-    #[test]
     fn least_loaded_placement() {
         let mut sys = SystemScheduler::new(3, 1, PlacementPolicy::LeastLoaded);
         assert_eq!(sys.place(t(0)), 0);
         assert_eq!(sys.place(t(1)), 1);
         assert_eq!(sys.place(t(2)), 2);
         assert_eq!(sys.place(t(3)), 0, "wraps to least loaded (ties by index)");
-        assert_eq!(sys.total_load(), 4);
-        assert_eq!(sys.cpu_count(), 3);
+        let loads: Vec<usize> = (0..3).map(|cpu| sys.cpu(cpu).load()).collect();
+        assert_eq!(loads, [2, 1, 1]);
     }
 
     #[test]
@@ -355,17 +298,8 @@ mod tests {
     fn pinned_placement_explicit() {
         let mut sys = SystemScheduler::new(2, 1, PlacementPolicy::Pinned);
         sys.place_on(t(0), 1);
-        assert_eq!(sys.cpu(1).ready_count(), 1);
-        assert_eq!(sys.cpu(0).ready_count(), 0);
+        assert_eq!(sys.cpu(1).load(), 1);
+        assert_eq!(sys.cpu(0).load(), 0);
         assert_eq!(sys.cpu_mut(1).dispatch(), Some(t(0)));
-    }
-
-    #[test]
-    fn iter_ready_order() {
-        let mut s = CpuScheduler::new(1);
-        s.enqueue(t(5));
-        s.enqueue(t(6));
-        let order: Vec<OsThreadId> = s.iter_ready().collect();
-        assert_eq!(order, vec![t(5), t(6)]);
     }
 }

@@ -61,13 +61,6 @@ impl TimerConfig {
         self.interval
     }
 
-    /// The period (in ticks) of uncategorized device interrupts; zero means
-    /// disabled.
-    #[must_use]
-    pub fn other_interrupt_period(&self) -> u64 {
-        self.other_interrupt_period
-    }
-
     /// The absolute time of the next tick strictly after `now`.
     #[must_use]
     pub fn next_tick_after(&self, now: Cycles) -> Cycles {
@@ -138,6 +131,7 @@ mod tests {
     fn default_ratio_matches_table1_shape() {
         let cfg = TimerConfig::default();
         assert_eq!(cfg.interval(), Cycles::new(3_000_000));
-        assert_eq!(cfg.other_interrupt_period(), 10);
+        assert!(cfg.is_other_interrupt_tick(10));
+        assert!(!cfg.is_other_interrupt_tick(9));
     }
 }

@@ -159,22 +159,10 @@ impl GangScheduler {
         self.policy
     }
 
-    /// Number of shreds created so far.
-    #[must_use]
-    pub fn shreds_created(&self) -> u64 {
-        self.shreds_created
-    }
-
     /// Number of times shreds blocked on contended synchronization objects.
     #[must_use]
     pub fn contention_events(&self) -> u64 {
         self.sync.contention_events()
-    }
-
-    /// The deepest the ready queue has been.
-    #[must_use]
-    pub fn max_queue_depth(&self) -> usize {
-        self.queue.max_depth()
     }
 
     /// Length of the service model's request table, which is indexed by
@@ -542,7 +530,6 @@ mod tests {
             .barrier(LockId::new(5), 2)
             .build();
         assert_eq!(g.policy(), SchedulingPolicy::Lifo);
-        assert_eq!(g.shreds_created(), 0);
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   and the selectable scheduling algorithms.
 //! * [`SyncTable`] with mutexes, counting semaphores, condition variables,
 //!   events and barriers.
-//! * [`ShredLocalStorage`] — the Thread-Local-Storage equivalent for shreds.
 //! * [`compat`] — the thread-to-shred API mapping tables used to port legacy
 //!   Pthreads/Win32/OpenMP software (the basis of the Table 2 reproduction).
+//!
+//! Shred-local storage, the Thread-Local-Storage equivalent of Section 4.2,
+//! is not modelled: no workload executes a TLS operation.  The [`compat`]
+//! tables still count the `Tls*` calls a port maps to ShredLib.
 //!
 //! # Examples
 //!
@@ -47,10 +50,8 @@ mod gang;
 mod queue;
 mod service;
 mod sync;
-mod tls;
 
 pub use gang::{GangScheduler, GangSchedulerBuilder};
 pub use queue::{SchedulingPolicy, WorkQueue};
 pub use service::{RequestShape, ServiceModel};
 pub use sync::{SyncObject, SyncTable};
-pub use tls::ShredLocalStorage;

@@ -48,13 +48,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns a configuration identical to `self` but with a different timer.
-    #[must_use]
-    pub fn with_timer(mut self, timer: TimerConfig) -> Self {
-        self.timer = timer;
-        self
-    }
-
     /// Returns a configuration identical to `self` but with a different cache
     /// model — convenient for cache-sensitivity sweeps.
     #[must_use]
@@ -133,12 +126,5 @@ mod tests {
         assert_eq!(on.trace.metrics_interval, 1_000);
         assert_eq!(on.costs, base.costs);
         assert_eq!(on.batch, base.batch);
-    }
-
-    #[test]
-    fn with_timer_replaces_timer() {
-        let base = SimConfig::default();
-        let t = TimerConfig::new(Cycles::new(10), 2);
-        assert_eq!(base.with_timer(t).timer, t);
     }
 }

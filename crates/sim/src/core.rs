@@ -198,12 +198,6 @@ impl EngineCore {
         self.programs.get(r.as_usize())
     }
 
-    /// Number of programs in the library.
-    #[must_use]
-    pub fn program_count(&self) -> usize {
-        self.programs.len()
-    }
-
     // ------------------------------------------------------------------
     // Shred management
     // ------------------------------------------------------------------
@@ -605,7 +599,8 @@ mod tests {
     fn construction_sizes() {
         let core = core_with(2, 4);
         assert_eq!(core.sequencer_count(), 4);
-        assert_eq!(core.program_count(), 2);
+        assert!(core.program(ProgramRef::new(1)).is_some());
+        assert!(core.program(ProgramRef::new(2)).is_none());
         assert_eq!(core.memory().sequencer_count(), 4);
         assert!(core.shreds().is_empty());
         assert_eq!(core.now(), Cycles::ZERO);

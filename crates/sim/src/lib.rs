@@ -26,30 +26,9 @@
 //!
 //! # Examples
 //!
-//! A minimal single-sequencer simulation using the built-in
-//! [`SingleShredRuntime`] and a trivial platform that services every
-//! privileged event locally:
-//!
-//! ```
-//! use misp_isa::{ProgramBuilder, ProgramLibrary};
-//! use misp_sim::{LocalPlatform, Machine, SimConfig, SingleShredRuntime};
-//! use misp_types::Cycles;
-//!
-//! let mut library = ProgramLibrary::new();
-//! let main = library.insert(
-//!     ProgramBuilder::new("main").compute(Cycles::new(10_000)).build(),
-//! );
-//!
-//! let config = SimConfig::default();
-//! let mut engine = Machine::new(config, 1, library, LocalPlatform::new(1));
-//! let pid = engine.core_mut().kernel_mut().spawn_process("demo");
-//! let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
-//! engine.core_mut().memory_mut().register_process(pid);
-//! engine.add_runtime(pid, Box::new(SingleShredRuntime::new(main)));
-//! engine.platform_mut().pin_thread(tid, 0);
-//! let report = engine.run().unwrap();
-//! assert!(report.total_cycles >= Cycles::new(10_000));
-//! ```
+//! Every machine is a [`Machine`] over some [`Platform`].  The `misp-smp`
+//! crate docs assemble one by hand on its SMP platform; `misp-core` provides
+//! the MISP platform.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -58,7 +37,6 @@ mod config;
 mod core;
 mod event;
 mod fleet;
-mod local;
 mod log;
 mod machine;
 mod platform;
@@ -71,7 +49,6 @@ pub use config::SimConfig;
 pub use core::{EngineCore, SavedContext};
 pub use event::{Event, EventQueue, ScheduledEvent};
 pub use fleet::{FleetEngine, FleetReport};
-pub use local::LocalPlatform;
 pub use log::EventLog;
 pub use machine::{Machine, MachineStatus, SimReport};
 pub use platform::Platform;

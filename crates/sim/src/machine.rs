@@ -802,127 +802,3 @@ impl<P: Platform> Machine<P> {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{LocalPlatform, SingleShredRuntime};
-    use misp_isa::{ProgramBuilder, SyscallKind};
-    use misp_os::TimerConfig;
-
-    /// Wraps [`LocalPlatform`] and, on the first syscall, opens three
-    /// overlapping stall windows on sequencer 1: a short one, a longer one
-    /// that extends it, and a superseded shorter one that must change
-    /// nothing.  The stale-window regression below pins the resume time.
-    #[derive(Debug)]
-    struct OverlappingStallPlatform {
-        inner: LocalPlatform,
-        stalled_once: bool,
-    }
-
-    impl Platform for OverlappingStallPlatform {
-        fn init(&mut self, core: &mut EngineCore) {
-            self.inner.init(core);
-        }
-
-        fn on_priv_event(
-            &mut self,
-            core: &mut EngineCore,
-            seq: SequencerId,
-            kind: OsEventKind,
-            now: Cycles,
-        ) -> Cycles {
-            if kind == OsEventKind::Syscall && !self.stalled_once {
-                self.stalled_once = true;
-                let victim = SequencerId::new(1);
-                core.stall(victim, now, now + Cycles::new(500));
-                // A longer overlapping window extends the stall...
-                core.stall(victim, now, now + Cycles::new(2_000));
-                // ...and a superseded shorter window must not resume early,
-                // no matter how stall-end events are scheduled or batched.
-                core.stall(victim, now, now + Cycles::new(1_000));
-            }
-            self.inner.on_priv_event(core, seq, kind, now)
-        }
-
-        fn on_timer_tick(
-            &mut self,
-            core: &mut EngineCore,
-            cpu: SequencerId,
-            tick: u64,
-            now: Cycles,
-        ) {
-            self.inner.on_timer_tick(core, cpu, tick, now);
-        }
-    }
-
-    fn run_overlapping_stall(batch: bool) -> SimReport {
-        let config = SimConfig {
-            timer: TimerConfig::disabled(),
-            batch,
-            ..SimConfig::default()
-        };
-        let mut library = ProgramLibrary::new();
-        let staller = library.insert(
-            ProgramBuilder::new("staller")
-                .compute(Cycles::new(100))
-                .syscall(SyscallKind::Io)
-                .build(),
-        );
-        let victim = library.insert(
-            ProgramBuilder::new("victim")
-                .compute(Cycles::new(10_000))
-                .build(),
-        );
-        let mut inner = LocalPlatform::new(2);
-        inner.disable_timer();
-        let platform = OverlappingStallPlatform {
-            inner,
-            stalled_once: false,
-        };
-        let mut engine = Machine::new(config, 2, library, platform);
-        let p0 = engine.core_mut().kernel_mut().spawn_process("staller");
-        let t0 = engine.core_mut().kernel_mut().spawn_thread(p0);
-        let p1 = engine.core_mut().kernel_mut().spawn_process("victim");
-        let t1 = engine.core_mut().kernel_mut().spawn_thread(p1);
-        engine.add_runtime(p0, Box::new(SingleShredRuntime::new(staller)));
-        engine.add_runtime(p1, Box::new(SingleShredRuntime::new(victim)));
-        engine.platform_mut().inner.pin_thread(t0, 0);
-        engine.platform_mut().inner.pin_thread(t1, 1);
-        engine.run().unwrap()
-    }
-
-    /// Regression test for stale stall-end handling: after a window is
-    /// extended, the superseded shorter window's end must not resume the
-    /// sequencer early — with the macro-step fast paths on or off, the
-    /// victim resumes exactly when the longest window closes.
-    #[test]
-    fn superseded_stall_window_does_not_resume_early() {
-        let switch = SimConfig::default().costs.shred_context_switch;
-        // The victim installs (shred_context_switch) and computes 10k cycles;
-        // the staller's syscall at `switch + 100` opens windows ending 500,
-        // 2000 and (superseded) 1000 cycles later.  The victim's in-flight
-        // compute has `switch + 10_000 - (switch + 100) = 9_900` cycles left,
-        // so it completes at `switch + 100 + 2_000 + 9_900 = switch+12_000`.
-        let expected = switch + Cycles::new(12_000);
-        for batch in [true, false] {
-            let report = run_overlapping_stall(batch);
-            assert_eq!(
-                report.completion_of(misp_types::ProcessId::new(1)),
-                Some(expected),
-                "victim resume time (batch = {batch})"
-            );
-            assert_eq!(
-                report.stats.per_sequencer[1].stalled,
-                Cycles::new(2_000),
-                "only the merged window is charged (batch = {batch})"
-            );
-        }
-        // And the two modes agree on everything else, down to the log digest.
-        let on = run_overlapping_stall(true);
-        let off = run_overlapping_stall(false);
-        assert_eq!(on.total_cycles, off.total_cycles);
-        assert_eq!(on.completions, off.completions);
-        assert_eq!(on.log_digest, off.log_digest);
-    }
-}

@@ -27,6 +27,28 @@
 //! let report = machine.run().unwrap();
 //! assert!(report.total_cycles >= Cycles::new(10_000));
 //! ```
+//!
+//! The same run assembled by hand from the `misp-sim` engine: a
+//! [`misp_sim::Machine`] over an [`SmpPlatform`], one process whose single
+//! thread is pinned to core 0 and runs the built-in
+//! [`misp_sim::SingleShredRuntime`]:
+//!
+//! ```
+//! use misp_smp::SmpPlatform;
+//! use misp_isa::{ProgramBuilder, ProgramLibrary};
+//! use misp_sim::{Machine, SimConfig, SingleShredRuntime};
+//! use misp_types::Cycles;
+//!
+//! let mut library = ProgramLibrary::new();
+//! let main = library.insert(ProgramBuilder::new("main").compute(Cycles::new(10_000)).build());
+//! let mut engine = Machine::new(SimConfig::default(), 1, library, SmpPlatform::new(1));
+//! let pid = engine.core_mut().kernel_mut().spawn_process("demo");
+//! let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
+//! engine.add_runtime(pid, Box::new(SingleShredRuntime::new(main)));
+//! engine.platform_mut().pin_thread(tid, 0);
+//! let report = engine.run().unwrap();
+//! assert!(report.total_cycles >= Cycles::new(10_000));
+//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

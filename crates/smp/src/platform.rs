@@ -138,7 +138,6 @@ impl Platform for SmpPlatform {
     ) -> Cycles {
         // Every core handles its own faults; no other core is affected.
         core.stats_mut().record_event(seq, kind, true);
-        core.kernel_mut().record_event(kind);
         core.log_event(seq, TraceKind::RingEnter);
         // Privileged code displaces the servicing core's L1, exactly as the
         // MISP platform charges its OMS per privileged service — keeping
@@ -154,12 +153,10 @@ impl Platform for SmpPlatform {
         let core_idx = cpu.as_usize();
         core.log_event(cpu, TraceKind::TimerTick);
         core.stats_mut().record_event(cpu, OsEventKind::Timer, true);
-        core.kernel_mut().record_event(OsEventKind::Timer);
         let mut priv_time = core.kernel().service_cost(OsEventKind::Timer);
         if core.config().timer.is_other_interrupt_tick(tick) {
             core.stats_mut()
                 .record_event(cpu, OsEventKind::OtherInterrupt, true);
-            core.kernel_mut().record_event(OsEventKind::OtherInterrupt);
             priv_time += core.kernel().service_cost(OsEventKind::OtherInterrupt);
         }
 
@@ -197,6 +194,216 @@ impl Platform for SmpPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use misp_isa::{ProgramBuilder, ProgramLibrary, SyscallKind};
+    use misp_os::TimerConfig;
+    use misp_sim::{Machine, SimConfig, SimReport, SingleShredRuntime};
+    use misp_types::{CostModel, MispError, ProcessId, VirtAddr};
+
+    fn quiet_config() -> SimConfig {
+        SimConfig {
+            timer: TimerConfig::disabled(),
+            ..SimConfig::default()
+        }
+    }
+
+    /// A one-core machine running `program` as one process whose only thread
+    /// is pinned to core 0.
+    fn single_program_machine(config: SimConfig, program: ProgramBuilder) -> Machine<SmpPlatform> {
+        let mut library = ProgramLibrary::new();
+        let main = library.insert(program.build());
+        let mut engine = Machine::new(config, 1, library, SmpPlatform::new(1));
+        let pid = engine.core_mut().kernel_mut().spawn_process("p");
+        let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
+        engine.add_runtime(pid, Box::new(SingleShredRuntime::new(main)));
+        engine.platform_mut().pin_thread(tid, 0);
+        engine
+    }
+
+    #[test]
+    fn single_compute_program_takes_expected_time() {
+        let program = ProgramBuilder::new("main").compute(Cycles::new(10_000));
+        let report = single_program_machine(quiet_config(), program)
+            .run()
+            .unwrap();
+        // 10k compute plus small scheduling overheads.
+        assert!(report.total_cycles >= Cycles::new(10_000));
+        assert!(report.total_cycles < Cycles::new(12_000));
+        assert_eq!(report.stats.per_sequencer[0].ops, 2, "compute + halt");
+    }
+
+    #[test]
+    fn syscall_and_page_fault_are_counted_and_charged() {
+        let costs = CostModel::default();
+        let program = ProgramBuilder::new("main")
+            .compute(Cycles::new(100))
+            .syscall(SyscallKind::Io)
+            .load(VirtAddr::new(0x10_0000))
+            .load(VirtAddr::new(0x10_0000));
+        let report = single_program_machine(quiet_config(), program)
+            .run()
+            .unwrap();
+        assert_eq!(report.stats.oms_events.syscalls, 1);
+        assert_eq!(
+            report.stats.oms_events.page_faults, 1,
+            "only the first touch faults"
+        );
+        let min_expected = 100 + costs.syscall_service.as_u64() + costs.page_fault_service.as_u64();
+        assert!(report.total_cycles.as_u64() >= min_expected);
+    }
+
+    #[test]
+    fn timer_ticks_accumulate_on_long_runs() {
+        let program = ProgramBuilder::new("main").repeat(100, |b| b.compute(Cycles::new(100_000)));
+        let config = SimConfig {
+            timer: TimerConfig::new(Cycles::new(1_000_000), 10),
+            ..SimConfig::default()
+        };
+        let report = single_program_machine(config, program).run().unwrap();
+        // 10M cycles of compute at one tick per 1M cycles: roughly 10 ticks.
+        assert!(report.stats.oms_events.timer >= 9);
+        assert!(report.stats.oms_events.other_interrupts >= 1);
+    }
+
+    #[test]
+    fn determinism_same_config_same_result() {
+        let run = || {
+            let program = ProgramBuilder::new("main").repeat(20, |b| {
+                b.compute(Cycles::new(1_000))
+                    .load(VirtAddr::new(0x20_0000))
+                    .syscall(SyscallKind::Time)
+            });
+            single_program_machine(SimConfig::default(), program)
+                .run()
+                .unwrap()
+                .total_cycles
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn missing_runtime_is_an_error() {
+        let mut engine = Machine::new(
+            SimConfig::default(),
+            1,
+            ProgramLibrary::new(),
+            SmpPlatform::new(1),
+        );
+        let err = engine.run().unwrap_err();
+        assert!(matches!(err, MispError::InvalidConfiguration(_)));
+    }
+
+    /// Wraps [`SmpPlatform`] and, on the first syscall, opens three
+    /// overlapping stall windows on sequencer 1: a short one, a longer one
+    /// that extends it, and a superseded shorter one that must change
+    /// nothing.  The stale-window regression below pins the resume time.
+    #[derive(Debug)]
+    struct OverlappingStallPlatform {
+        inner: SmpPlatform,
+        stalled_once: bool,
+    }
+
+    impl Platform for OverlappingStallPlatform {
+        fn init(&mut self, core: &mut EngineCore) {
+            self.inner.init(core);
+        }
+
+        fn on_priv_event(
+            &mut self,
+            core: &mut EngineCore,
+            seq: SequencerId,
+            kind: OsEventKind,
+            now: Cycles,
+        ) -> Cycles {
+            if kind == OsEventKind::Syscall && !self.stalled_once {
+                self.stalled_once = true;
+                let victim = SequencerId::new(1);
+                core.stall(victim, now, now + Cycles::new(500));
+                // A longer overlapping window extends the stall...
+                core.stall(victim, now, now + Cycles::new(2_000));
+                // ...and a superseded shorter window must not resume early,
+                // no matter how stall-end events are scheduled or batched.
+                core.stall(victim, now, now + Cycles::new(1_000));
+            }
+            self.inner.on_priv_event(core, seq, kind, now)
+        }
+
+        fn on_timer_tick(
+            &mut self,
+            core: &mut EngineCore,
+            cpu: SequencerId,
+            tick: u64,
+            now: Cycles,
+        ) {
+            self.inner.on_timer_tick(core, cpu, tick, now);
+        }
+    }
+
+    fn run_overlapping_stall(batch: bool) -> SimReport {
+        let config = SimConfig {
+            batch,
+            ..quiet_config()
+        };
+        let mut library = ProgramLibrary::new();
+        let staller = library.insert(
+            ProgramBuilder::new("staller")
+                .compute(Cycles::new(100))
+                .syscall(SyscallKind::Io)
+                .build(),
+        );
+        let victim = library.insert(
+            ProgramBuilder::new("victim")
+                .compute(Cycles::new(10_000))
+                .build(),
+        );
+        let platform = OverlappingStallPlatform {
+            inner: SmpPlatform::new(2),
+            stalled_once: false,
+        };
+        let mut engine = Machine::new(config, 2, library, platform);
+        let p0 = engine.core_mut().kernel_mut().spawn_process("staller");
+        let t0 = engine.core_mut().kernel_mut().spawn_thread(p0);
+        let p1 = engine.core_mut().kernel_mut().spawn_process("victim");
+        let t1 = engine.core_mut().kernel_mut().spawn_thread(p1);
+        engine.add_runtime(p0, Box::new(SingleShredRuntime::new(staller)));
+        engine.add_runtime(p1, Box::new(SingleShredRuntime::new(victim)));
+        engine.platform_mut().inner.pin_thread(t0, 0);
+        engine.platform_mut().inner.pin_thread(t1, 1);
+        engine.run().unwrap()
+    }
+
+    /// Regression test for stale stall-end handling: after a window is
+    /// extended, the superseded shorter window's end must not resume the
+    /// sequencer early — with the macro-step fast paths on or off, the
+    /// victim resumes exactly when the longest window closes.
+    #[test]
+    fn superseded_stall_window_does_not_resume_early() {
+        let switch = SimConfig::default().costs.shred_context_switch;
+        // The victim installs (shred_context_switch) and computes 10k cycles;
+        // the staller's syscall at `switch + 100` opens windows ending 500,
+        // 2000 and (superseded) 1000 cycles later.  The victim's in-flight
+        // compute has `switch + 10_000 - (switch + 100) = 9_900` cycles left,
+        // so it completes at `switch + 100 + 2_000 + 9_900 = switch+12_000`.
+        let expected = switch + Cycles::new(12_000);
+        for batch in [true, false] {
+            let report = run_overlapping_stall(batch);
+            assert_eq!(
+                report.completion_of(ProcessId::new(1)),
+                Some(expected),
+                "victim resume time (batch = {batch})"
+            );
+            assert_eq!(
+                report.stats.per_sequencer[1].stalled,
+                Cycles::new(2_000),
+                "only the merged window is charged (batch = {batch})"
+            );
+        }
+        // And the two modes agree on everything else, down to the log digest.
+        let on = run_overlapping_stall(true);
+        let off = run_overlapping_stall(false);
+        assert_eq!(on.total_cycles, off.total_cycles);
+        assert_eq!(on.completions, off.completions);
+        assert_eq!(on.log_digest, off.log_digest);
+    }
 
     #[test]
     #[should_panic(expected = "at least one core")]

@@ -174,12 +174,6 @@ impl<I: ArenaId, T> Arena<I, T> {
     pub fn as_slice(&self) -> &[T] {
         &self.items
     }
-
-    /// Consumes the arena, returning the entries in allocation order.
-    #[must_use]
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
 }
 
 impl<I: ArenaId, T> Default for Arena<I, T> {

@@ -166,28 +166,6 @@ impl CostModel {
     pub fn signal_cycles(&self) -> Cycles {
         self.signal.cycles()
     }
-
-    /// Serialization overhead across an OMS ring transition, **excluding** the
-    /// privileged service time: `2 * signal` (Equation 1 minus `priv`).
-    #[must_use]
-    pub fn serialize_overhead(&self) -> Cycles {
-        self.signal.cycles() * 2
-    }
-
-    /// Overhead incurred by a shred whose AMS requests proxy execution:
-    /// `3 * signal` (Equation 2).
-    #[must_use]
-    pub fn proxy_egress_overhead(&self) -> Cycles {
-        self.signal.cycles() * 3
-    }
-
-    /// Overhead incurred by the OMS to handle a proxy request, excluding the
-    /// privileged service time: `signal + 2 * signal` (Equation 3 minus
-    /// `priv`).
-    #[must_use]
-    pub fn proxy_ingress_overhead(&self) -> Cycles {
-        self.signal.cycles() * 3
-    }
 }
 
 impl Default for CostModel {
@@ -318,9 +296,6 @@ mod tests {
     fn default_model_matches_paper_assumptions() {
         let m = CostModel::default();
         assert_eq!(m.signal_cycles(), Cycles::new(5000));
-        assert_eq!(m.serialize_overhead(), Cycles::new(10_000));
-        assert_eq!(m.proxy_egress_overhead(), Cycles::new(15_000));
-        assert_eq!(m.proxy_ingress_overhead(), Cycles::new(15_000));
     }
 
     #[test]
@@ -351,7 +326,7 @@ mod tests {
         assert_eq!(m.shred_context_switch, Cycles::new(9));
         assert_eq!(m.queue_lock, Cycles::new(10));
         assert_eq!(m.timer_interval, Cycles::new(11));
-        assert_eq!(m.serialize_overhead(), Cycles::ZERO);
+        assert_eq!(m.signal_cycles(), Cycles::ZERO);
     }
 
     #[test]

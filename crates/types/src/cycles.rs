@@ -89,16 +89,6 @@ impl Cycles {
         Cycles(self.0.saturating_add(rhs.0))
     }
 
-    /// Checked addition, returning `None` on overflow.
-    #[inline]
-    #[must_use]
-    pub const fn checked_add(self, rhs: Cycles) -> Option<Cycles> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(Cycles(v)),
-            None => None,
-        }
-    }
-
     /// Multiplies the cycle count by an integer scale factor.
     #[inline]
     #[must_use]
@@ -241,11 +231,6 @@ mod tests {
             Cycles::MAX.saturating_add(Cycles::new(1)),
             Cycles::MAX,
             "saturating add clamps at MAX"
-        );
-        assert_eq!(Cycles::MAX.checked_add(Cycles::new(1)), None);
-        assert_eq!(
-            Cycles::new(1).checked_add(Cycles::new(2)),
-            Some(Cycles::new(3))
         );
     }
 

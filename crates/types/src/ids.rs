@@ -161,7 +161,7 @@ impl From<u64> for PageId {
 ///
 /// let addr = VirtAddr::new(3 * PAGE_SIZE + 17);
 /// assert_eq!(addr.page(), PageId::new(3));
-/// assert_eq!(addr.page_offset(), 17);
+/// assert_eq!(addr.offset(PAGE_SIZE).page(), PageId::new(4));
 /// ```
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -189,13 +189,6 @@ impl VirtAddr {
     #[must_use]
     pub const fn page(self) -> PageId {
         PageId(self.0 >> PAGE_SHIFT)
-    }
-
-    /// Returns the offset of this address within its page.
-    #[inline]
-    #[must_use]
-    pub const fn page_offset(self) -> u64 {
-        self.0 & (PAGE_SIZE - 1)
     }
 
     /// Returns the address advanced by `bytes`.
@@ -264,7 +257,6 @@ mod tests {
     fn virt_addr_page_math() {
         let addr = VirtAddr::new(5 * PAGE_SIZE + 100);
         assert_eq!(addr.page(), PageId::new(5));
-        assert_eq!(addr.page_offset(), 100);
         assert_eq!(addr.offset(PAGE_SIZE).page(), PageId::new(6));
         assert_eq!(PageId::new(5).base_addr(), VirtAddr::new(5 * PAGE_SIZE));
         assert_eq!(addr.to_string(), format!("{:#x}", 5 * PAGE_SIZE + 100));

@@ -5,13 +5,13 @@
 //! new category of architectural resource and defines a canonical set of
 //! instructions for user-level inter-sequencer signaling and asynchronous
 //! control transfer.  This crate contains the vocabulary types used throughout
-//! the reproduction: strongly-typed identifiers, cycle arithmetic, privilege
-//! rings, the architectural cost model, and the common error type.
+//! the reproduction: strongly-typed identifiers, cycle arithmetic, the
+//! architectural cost model, and the common error type.
 //!
 //! # Examples
 //!
 //! ```
-//! use misp_types::{Cycles, SequencerId, Ring};
+//! use misp_types::{CostModel, Cycles, SequencerId};
 //!
 //! let start = Cycles::new(1_000);
 //! let end = start + Cycles::new(500);
@@ -19,7 +19,7 @@
 //!
 //! let oms = SequencerId::new(0);
 //! assert_eq!(oms.index(), 0);
-//! assert_eq!(Ring::Ring3.is_user(), true);
+//! assert_eq!(CostModel::default().signal_cycles(), Cycles::new(5_000));
 //! ```
 
 #![warn(missing_docs)]
@@ -33,7 +33,6 @@ mod fnv;
 mod fxhash;
 mod histogram;
 mod ids;
-mod ring;
 mod rng;
 
 pub use arena::{Arena, ArenaId, ArenaMap};
@@ -47,5 +46,4 @@ pub use ids::{
     LockId, MispProcessorId, OsThreadId, PageId, ProcessId, SequencerId, ShredId, VirtAddr,
     PAGE_SHIFT, PAGE_SIZE,
 };
-pub use ring::{Ring, RingTransition};
 pub use rng::{det_ln, SplitMix64};

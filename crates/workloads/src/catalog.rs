@@ -497,7 +497,9 @@ mod tests {
     #[test]
     fn scalability_band_matches_figure4() {
         for w in all() {
-            let s8 = w.params().amdahl_speedup(8);
+            // The ideal Amdahl speedup on 8 contexts, ignoring overheads.
+            let s = w.params().serial_fraction;
+            let s8 = 1.0 / (s + (1.0 - s) / 8.0);
             assert!(
                 (3.0..=8.0).contains(&s8),
                 "{} has ideal 8-way speedup {s8:.2}, outside Figure 4's range",

@@ -113,14 +113,6 @@ impl WorkloadParams {
     pub fn parallel_work(&self) -> u64 {
         self.total_work - self.serial_work()
     }
-
-    /// The ideal Amdahl speedup of this workload on `n` contexts, ignoring all
-    /// architectural overheads — useful as an upper bound in tests.
-    #[must_use]
-    pub fn amdahl_speedup(&self, n: usize) -> f64 {
-        let s = self.serial_fraction;
-        1.0 / (s + (1.0 - s) / n as f64)
-    }
 }
 
 impl Default for WorkloadParams {
@@ -160,24 +152,5 @@ mod tests {
         assert_eq!(p.serial_work(), 250_000);
         assert_eq!(p.parallel_work(), 750_000);
         assert_eq!(p.serial_work() + p.parallel_work(), p.total_work);
-    }
-
-    #[test]
-    fn amdahl_speedup_bounds() {
-        let p = WorkloadParams {
-            serial_fraction: 0.1,
-            ..WorkloadParams::default()
-        };
-        let s8 = p.amdahl_speedup(8);
-        assert!(
-            s8 > 4.0 && s8 < 5.0,
-            "10% serial on 8 contexts is ~4.7x, got {s8}"
-        );
-        assert!((p.amdahl_speedup(1) - 1.0).abs() < 1e-9);
-        let perfectly_parallel = WorkloadParams {
-            serial_fraction: 0.0,
-            ..WorkloadParams::default()
-        };
-        assert!((perfectly_parallel.amdahl_speedup(8) - 8.0).abs() < 1e-9);
     }
 }

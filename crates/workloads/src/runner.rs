@@ -89,6 +89,17 @@ impl Machine {
     pub fn smp(cores: usize) -> Self {
         Machine::Smp { cores }
     }
+
+    /// Rejects a machine that cannot be assembled: an SMP machine needs at
+    /// least one core.  (A [`MispTopology`] is validated when it is built.)
+    fn validate(&self) -> Result<()> {
+        match self {
+            Machine::Smp { cores: 0 } => Err(MispError::InvalidConfiguration(
+                "an SMP machine needs at least one core".to_string(),
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// What a [`Run`] executes: a catalog workload or an open-loop scenario.
@@ -201,8 +212,10 @@ impl<'a> Run<'a> {
     /// # Errors
     ///
     /// [`MispError::InvalidConfiguration`] if a workload run has zero
-    /// workers.  Propagates simulation errors (budget exhaustion, deadlock).
+    /// workers or the machine is an SMP machine with zero cores.  Propagates
+    /// simulation errors (budget exhaustion, deadlock).
     pub fn execute(self) -> Result<SimReport> {
+        self.machine.validate()?;
         if matches!(self.source, Source::Workload(_)) && self.workers == 0 {
             return Err(MispError::InvalidConfiguration(
                 "a workload run needs at least one worker".to_string(),
@@ -296,10 +309,12 @@ impl<'a> Run<'a> {
     /// # Errors
     ///
     /// [`MispError::InvalidConfiguration`] if the run's source is a catalog
-    /// workload rather than a scenario, or if competitor processes were
-    /// requested (fleet machines serve only their request stream).
-    /// Propagates simulation errors (budget exhaustion, deadlock).
+    /// workload rather than a scenario, if competitor processes were
+    /// requested (fleet machines serve only their request stream), or if the
+    /// machine is an SMP machine with zero cores.  Propagates simulation
+    /// errors (budget exhaustion, deadlock).
     pub fn execute_fleet(self, fleet: &FleetTopology) -> Result<FleetReport> {
+        self.machine.validate()?;
         let scenario = match self.source {
             Source::Scenario(s) => s,
             Source::Workload(_) => {
@@ -633,5 +648,27 @@ mod tests {
                 "{err:?}"
             );
         }
+    }
+
+    #[test]
+    fn zero_core_smp_is_a_configuration_error_not_a_panic() {
+        let w = catalog::by_name("dense_mvm").unwrap();
+        let err = Run::workload(&w)
+            .machine(Machine::smp(0))
+            .workers(1)
+            .execute();
+        assert!(
+            matches!(err, Err(MispError::InvalidConfiguration(_))),
+            "{err:?}"
+        );
+        let s = scenario::by_name("poisson").unwrap();
+        let fleet = FleetTopology::new(2, misp_core::LoadBalancerPolicy::RoundRobin).unwrap();
+        let err = Run::scenario(&s)
+            .machine(Machine::smp(0))
+            .execute_fleet(&fleet);
+        assert!(
+            matches!(err, Err(MispError::InvalidConfiguration(_))),
+            "{err:?}"
+        );
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`types`] | `misp-types` | identifiers, cycle arithmetic, privilege rings, the cost model |
+//! | [`types`] | `misp-types` | identifiers, cycle arithmetic, the cost model |
 //! | [`isa`] | `misp-isa` | abstract instruction streams, shred programs, continuations |
 //! | [`cache`] | `misp-cache` | the coherent cache hierarchy: per-sequencer L1s, per-processor shared L2s, MESI-lite coherence (disabled by default) |
 //! | [`mem`] | `misp-mem` | address spaces, TLBs, working sets, access patterns |

@@ -7,6 +7,8 @@ use misp::os::TimerConfig;
 use misp::sim::SimConfig;
 use misp::types::{CostModel, Cycles, SignalCost};
 use misp::workloads::{LocalityProfile, Machine, Run, RunOptions, Suite, Workload, WorkloadParams};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 /// A small, fast workload used by most tests below.
 fn small_workload() -> Workload {
@@ -194,4 +196,71 @@ fn pretouch_moves_faults_from_ams_to_oms() {
         total_base, total_pre,
         "pre-touching must not change the fault total"
     );
+}
+
+/// The `key = value` keys of every `[table]` in a Cargo manifest, by table
+/// name.  A line-based reader is enough for the workspace's manifests: no
+/// multi-line values, no inline tables holding lint keys.
+fn manifest_tables(text: &str) -> BTreeMap<String, BTreeMap<String, String>> {
+    let mut tables: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
+    let mut current = String::new();
+    for line in text.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            current = name.trim().to_string();
+            tables.entry(current.clone()).or_default();
+        } else if let Some((key, value)) = line.split_once('=') {
+            tables
+                .entry(current.clone())
+                .or_default()
+                .insert(key.trim().to_string(), value.trim().to_string());
+        }
+    }
+    tables
+}
+
+/// Every crate under `crates/` opts into the root `[workspace.lints]`
+/// (unsafe hygiene, hash-iteration order, waiver reasons): a crate that left
+/// out `[lints] workspace = true` would silently lose every static check.
+/// The one alternative is a crate-local `[lints.rust]` / `[lints.clippy]`
+/// pair naming every workspace lint key (misp-harness relaxes
+/// `unsafe_code` to `deny` for its allocation counter).
+#[test]
+fn every_crate_opts_into_the_workspace_lints() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let workspace = manifest_tables(&read(&root.join("Cargo.toml")));
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .map(|entry| entry.expect("directory entry").path().join("Cargo.toml"))
+        .filter(|manifest| manifest.is_file())
+        .collect();
+    crates.sort();
+    assert!(crates.len() >= 10, "found only {crates:?}");
+
+    for manifest in &crates {
+        let tables = manifest_tables(&read(manifest));
+        let opted_in = tables
+            .get("lints")
+            .and_then(|t| t.get("workspace"))
+            .is_some_and(|v| v == "true");
+        if opted_in {
+            continue;
+        }
+        for tool in ["rust", "clippy"] {
+            let required = &workspace[&format!("workspace.lints.{tool}")];
+            assert!(!required.is_empty(), "no workspace {tool} lints");
+            let local = tables.get(&format!("lints.{tool}"));
+            for key in required.keys() {
+                assert!(
+                    local.is_some_and(|t| t.contains_key(key)),
+                    "{} has no `[lints] workspace = true` and its `[lints.{tool}]` \
+                     does not name `{key}`",
+                    manifest.display()
+                );
+            }
+        }
+    }
 }

@@ -7,7 +7,8 @@ use misp::core::{MispTopology, RingPolicy};
 use misp::isa::{ProgramBuilder, ProgramLibrary};
 use misp::mem::AccessPattern;
 use misp::os::TimerConfig;
-use misp::sim::{LocalPlatform, SimConfig, SingleShredRuntime};
+use misp::sim::{SimConfig, SingleShredRuntime};
+use misp::smp::SmpPlatform;
 use misp::types::{CostModel, Cycles, SignalCost, VirtAddr, PAGE_SIZE};
 use misp::workloads::{LocalityProfile, Machine, Run, Suite, Workload, WorkloadParams};
 use proptest::prelude::*;
@@ -102,7 +103,7 @@ fn arbitrary_locality() -> impl Strategy<Value = LocalityProfile> {
 }
 
 /// Runs `threads` threads of one process, one per core of a
-/// [`LocalPlatform`] with the cache model on and the timer off, each running
+/// [`SmpPlatform`] with the cache model on and the timer off, each running
 /// the program `steps` once: a step `(n, Some((page, store)))` touches a
 /// shared page, and `(n, None)` computes `2 × (n mod 8)` cycles.
 fn run_tied_threads(
@@ -126,8 +127,7 @@ fn run_tied_threads(
     }
     let mut library = ProgramLibrary::new();
     let program = library.insert(builder.build());
-    let mut platform = LocalPlatform::new(threads);
-    platform.disable_timer();
+    let platform = SmpPlatform::new(threads);
     let mut machine = misp::sim::Machine::new(config, threads, library, platform);
     let process = machine.core_mut().kernel_mut().spawn_process("tied");
     for core in 0..threads {
