@@ -1,46 +1,15 @@
 //! Criterion micro-benchmarks of the MISP architecture's core mechanisms:
-//! the signaling fabric, the trigger/response registry, the analytic overhead
-//! model, ShredLib's work queue and synchronization objects, and the
-//! instruction-stream cursor.  These quantify the *simulator's* costs (they
+//! the analytic overhead model, ShredLib's FIFO work queue and
+//! synchronization objects, and the instruction-stream cursor.  These quantify the *simulator's* costs (they
 //! are what make the table/figure sweeps fast), complementing the `sweep`
 //! grids that regenerate the paper's results.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use misp_core::{OverheadModel, SignalFabric, SignalKind};
+use misp_core::OverheadModel;
 use misp_isa::{OwnedCursor, ProgramBuilder};
-use misp_types::{CostModel, Cycles, LockId, SequencerId, ShredId, VirtAddr};
-use shredlib::{SchedulingPolicy, SyncTable, WorkQueue};
+use misp_types::{CostModel, Cycles, LockId, ShredId, VirtAddr};
+use shredlib::{SyncTable, WorkQueue};
 use std::sync::Arc;
-
-fn bench_signal_fabric(c: &mut Criterion) {
-    c.bench_function("signal_fabric_send", |b| {
-        let mut fabric = SignalFabric::new(CostModel::default());
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 1;
-            black_box(fabric.send(
-                SequencerId::new(1),
-                SequencerId::new(0),
-                SignalKind::ProxyRequest,
-                Cycles::new(t),
-            ))
-        });
-    });
-    c.bench_function("signal_fabric_broadcast_7", |b| {
-        let mut fabric = SignalFabric::new(CostModel::default());
-        let targets: Vec<SequencerId> = (1..8).map(SequencerId::new).collect();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 1;
-            black_box(fabric.broadcast(
-                SequencerId::new(0),
-                &targets,
-                SignalKind::Suspend,
-                Cycles::new(t),
-            ))
-        });
-    });
-}
 
 fn bench_overhead_model(c: &mut Criterion) {
     c.bench_function("overhead_model_equations", |b| {
@@ -66,16 +35,7 @@ fn bench_overhead_model(c: &mut Criterion) {
 
 fn bench_work_queue(c: &mut Criterion) {
     c.bench_function("work_queue_push_pop_fifo", |b| {
-        let mut q = WorkQueue::new(SchedulingPolicy::Fifo);
-        let mut i = 0u32;
-        b.iter(|| {
-            i += 1;
-            q.push(ShredId::new(i));
-            black_box(q.pop())
-        });
-    });
-    c.bench_function("work_queue_push_pop_lifo", |b| {
-        let mut q = WorkQueue::new(SchedulingPolicy::Lifo);
+        let mut q = WorkQueue::new();
         let mut i = 0u32;
         b.iter(|| {
             i += 1;
@@ -136,7 +96,6 @@ fn bench_program_cursor(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_signal_fabric,
     bench_overhead_model,
     bench_work_queue,
     bench_sync_table,

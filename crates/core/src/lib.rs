@@ -8,14 +8,12 @@
 //! * [`MispTopology`] / [`MispProcessor`] — machines built from MISP
 //!   processors, each with one OS-managed sequencer (OMS) and zero or more
 //!   application-managed sequencers (AMS) (Figures 1, 2 and 6 of the paper).
-//! * [`SignalFabric`] — the user-level inter-sequencer signaling substrate
-//!   behind the `SIGNAL` instruction (Section 2.4).
-//! * [`TriggerResponseRegistry`] — the YIELD-CONDITIONAL trigger→response
-//!   mechanism used to register the proxy handler and receive asynchronous
-//!   control transfers (Section 2.4).
-//! * Proxy execution and Ring 0 serialization — implemented inside
-//!   [`MispPlatform`], which plugs the whole architecture into the
-//!   `misp-sim` execution engine (Sections 2.3 and 2.5).
+//! * Proxy execution, Ring 0 serialization, `SIGNAL` delivery and
+//!   proxy-handler registration — implemented inside [`MispPlatform`], which
+//!   plugs the whole architecture into the `misp-sim` execution engine
+//!   (Sections 2.3–2.5).  A `SIGNAL` costs one signal latency and an
+//!   `Op::RegisterHandler` one YIELD-CONDITIONAL transfer; the proxy handler
+//!   is registered on every OMS from the start, as ShredLib does at start-up.
 //! * [`OverheadModel`] — the analytic overhead model of Section 5.1
 //!   (Equations 1–3), used by the Figure 5 sensitivity study.
 //!
@@ -42,14 +40,10 @@ mod fleet;
 mod machine;
 mod overhead;
 mod platform;
-mod signal;
 mod topology;
-mod yield_cond;
 
 pub use fleet::{FleetTopology, LoadBalancerPolicy};
 pub use machine::MispMachine;
 pub use overhead::OverheadModel;
 pub use platform::{MispPlatform, RingPolicy};
-pub use signal::{SignalFabric, SignalKind};
 pub use topology::{MispProcessor, MispTopology};
-pub use yield_cond::{TriggerKind, TriggerResponseRegistry};

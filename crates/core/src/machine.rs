@@ -49,7 +49,9 @@ impl MispMachine {
     /// Adds a process with one OS thread and the given user-level runtime.
     ///
     /// The thread is pinned to MISP processor `processor` if given, otherwise
-    /// placed on the least-loaded processor.  Returns the new process id.
+    /// placed on the least-loaded processor.  Threads are placed in call
+    /// order, so pin threads before adding any that are placed
+    /// automatically.  Returns the new process id.
     pub fn add_process(
         &mut self,
         name: &str,

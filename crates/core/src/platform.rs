@@ -1,9 +1,9 @@
 //! The MISP machine platform: serialization, proxy execution and MP
 //! scheduling semantics plugged into the execution engine.
 
-use crate::{MispTopology, SignalFabric, SignalKind, TriggerKind, TriggerResponseRegistry};
+use crate::MispTopology;
 use misp_isa::Continuation;
-use misp_os::{OsEventKind, PlacementPolicy, SystemScheduler};
+use misp_os::{OsEventKind, SystemScheduler};
 use misp_sim::{EngineCore, Platform, SavedContext, ShredStatus, TraceKind};
 use misp_types::{Cycles, FxHashMap, OsThreadId, SequencerId};
 use serde::{Deserialize, Serialize};
@@ -49,15 +49,9 @@ struct ThreadCtx {
 pub struct MispPlatform {
     topology: MispTopology,
     policy: RingPolicy,
-    quantum_ticks: u64,
-    auto_register_proxy: bool,
-    fabric: Option<SignalFabric>,
-    registry: Option<TriggerResponseRegistry>,
-    scheduler: Option<SystemScheduler>,
+    scheduler: SystemScheduler,
     oms_busy_until: Vec<Cycles>,
     thread_ctx: FxHashMap<OsThreadId, ThreadCtx>,
-    pinned: Vec<(OsThreadId, usize)>,
-    auto_place: Vec<OsThreadId>,
     /// Reused target buffer for serialization windows, so the per-transition
     /// hot path does not allocate.
     serialize_scratch: Vec<SequencerId>,
@@ -68,8 +62,10 @@ pub struct MispPlatform {
 
 impl MispPlatform {
     /// Creates a platform for the given topology with the paper's default
-    /// behaviour (suspend-all ring policy, one-tick scheduling quantum,
-    /// automatic proxy-handler registration).
+    /// behaviour: the suspend-all ring policy and a one-tick scheduling
+    /// quantum.  Every OMS has the proxy handler registered from the start
+    /// (ShredLib registers it at start-up, Section 4.2); `SIGNAL` latency and
+    /// `Op::RegisterHandler` are costs charged inside the platform.
     #[must_use]
     pub fn new(topology: MispTopology) -> Self {
         let processors = topology.processors().len();
@@ -84,15 +80,9 @@ impl MispPlatform {
         MispPlatform {
             topology,
             policy: RingPolicy::SuspendAll,
-            quantum_ticks: 1,
-            auto_register_proxy: true,
-            fabric: None,
-            registry: None,
-            scheduler: None,
+            scheduler: SystemScheduler::new(processors),
             oms_busy_until: vec![Cycles::ZERO; processors],
             thread_ctx: FxHashMap::default(),
-            pinned: Vec::new(),
-            auto_place: Vec::new(),
             serialize_scratch: Vec::new(),
             seq_to_proc,
         }
@@ -115,23 +105,6 @@ impl MispPlatform {
         self.policy
     }
 
-    /// Sets the OS scheduling quantum in timer ticks (default 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ticks` is zero.
-    pub fn set_quantum_ticks(&mut self, ticks: u64) {
-        assert!(ticks > 0, "quantum must be at least one tick");
-        self.quantum_ticks = ticks;
-    }
-
-    /// Disables automatic registration of the proxy handler on every OMS; the
-    /// application must then execute `Op::RegisterHandler` before any AMS
-    /// fault occurs.
-    pub fn disable_auto_proxy_registration(&mut self) {
-        self.auto_register_proxy = false;
-    }
-
     /// Pins `thread` to the MISP processor with index `processor`.
     ///
     /// # Panics
@@ -142,24 +115,14 @@ impl MispPlatform {
             processor < self.topology.processors().len(),
             "processor index out of range"
         );
-        self.pinned.push((thread, processor));
+        self.scheduler.place_on(thread, processor);
     }
 
-    /// Places `thread` automatically (least-loaded MISP processor).
+    /// Places `thread` on the least-loaded MISP processor (ties broken by
+    /// lowest index).  Threads are placed in call order, so the load counts
+    /// every thread pinned or placed before this call, and none after it.
     pub fn place_thread(&mut self, thread: OsThreadId) {
-        self.auto_place.push(thread);
-    }
-
-    /// The signaling fabric, available after the engine has been initialized.
-    #[must_use]
-    pub fn fabric(&self) -> Option<&SignalFabric> {
-        self.fabric.as_ref()
-    }
-
-    /// The trigger/response registry, available after initialization.
-    #[must_use]
-    pub fn registry(&self) -> Option<&TriggerResponseRegistry> {
-        self.registry.as_ref()
+        self.scheduler.place(thread);
     }
 
     fn processor_index(&self, seq: SequencerId) -> usize {
@@ -182,9 +145,7 @@ impl MispPlatform {
         if self.policy == RingPolicy::Speculative {
             return;
         }
-        let signal = core.costs().signal_cycles();
-        let window_end = now + signal * 2 + priv_time;
-        let oms = self.topology.processors()[proc_idx].oms();
+        let window_end = now + core.costs().signal_cycles() * 2 + priv_time;
         let mut targets = std::mem::take(&mut self.serialize_scratch);
         targets.clear();
         targets.extend(
@@ -194,15 +155,6 @@ impl MispPlatform {
                 .copied()
                 .filter(|a| Some(*a) != skip),
         );
-        if let Some(fabric) = self.fabric.as_mut() {
-            fabric.broadcast(oms, &targets, SignalKind::Suspend, now);
-            fabric.broadcast(
-                oms,
-                &targets,
-                SignalKind::Resume,
-                window_end.saturating_sub(signal),
-            );
-        }
         core.stall_many(&targets, now, window_end);
         self.serialize_scratch = targets;
         core.stats_mut().serializations += 1;
@@ -238,9 +190,6 @@ impl MispPlatform {
             let actx = ctx.ams.get(i).copied().unwrap_or_default();
             core.restore_context(*ams, actx, ams_at);
         }
-        let _ = core
-            .kernel_mut()
-            .set_thread_state(thread, misp_os::ThreadState::Running);
     }
 
     /// Saves the execution contexts of `thread` (currently installed on
@@ -272,9 +221,6 @@ impl MispPlatform {
                 ams: ams_ctx,
             },
         );
-        let _ = core
-            .kernel_mut()
-            .set_thread_state(thread, misp_os::ThreadState::Ready);
     }
 }
 
@@ -292,37 +238,15 @@ impl Platform for MispPlatform {
         }
         core.memory_mut().configure_caches(cache_config, &clusters);
 
-        let costs = *core.costs();
-        self.fabric = Some(SignalFabric::new(costs));
-        let mut registry = TriggerResponseRegistry::new(costs.yield_transfer);
-        if self.auto_register_proxy {
-            for p in self.topology.processors() {
-                registry.register(p.oms(), TriggerKind::ProxyRequest);
-            }
-        }
-        self.registry = Some(registry);
-
-        let mut scheduler = SystemScheduler::new(
-            self.topology.processors().len(),
-            self.quantum_ticks,
-            PlacementPolicy::LeastLoaded,
-        );
-        for &(thread, proc) in &self.pinned {
-            scheduler.place_on(thread, proc);
-        }
-        for &thread in &self.auto_place {
-            scheduler.place(thread);
-        }
-
         for proc_idx in 0..self.topology.processors().len() {
-            let dispatched = scheduler.cpu_mut(proc_idx).dispatch();
+            let dispatched = self.scheduler.cpu_mut(proc_idx).dispatch();
             if let Some(thread) = dispatched {
                 self.install_thread(core, proc_idx, thread, Cycles::ZERO, Cycles::ZERO);
             }
             // Timer interrupts only tick on CPUs that have work; an empty CPU
             // contributes no serializing events, matching the paper's
             // accounting which attributes events to the application's run.
-            if scheduler.cpu(proc_idx).load() > 0 || dispatched.is_some() {
+            if self.scheduler.cpu(proc_idx).load() > 0 || dispatched.is_some() {
                 let oms = self.topology.processors()[proc_idx].oms();
                 let first = core.config().timer.next_tick_after(Cycles::ZERO);
                 if first != Cycles::MAX {
@@ -330,7 +254,6 @@ impl Platform for MispPlatform {
                 }
             }
         }
-        self.scheduler = Some(scheduler);
     }
 
     fn on_priv_event(
@@ -361,23 +284,12 @@ impl Platform for MispPlatform {
             core.log_event(seq, TraceKind::RingExit);
             resume
         } else {
-            // Fault on an application-managed sequencer: proxy execution.
+            // Fault on an application-managed sequencer: proxy execution.  The
+            // proxy handler is registered on every OMS from the start, so the
+            // request is always serviced.
             core.stats_mut().record_event(seq, kind, false);
             core.stats_mut().proxy_executions += 1;
             core.log_event(seq, TraceKind::ProxyRequest);
-            let fabric = self.fabric.as_mut().expect("platform initialized");
-            fabric.send(seq, oms, SignalKind::ProxyRequest, now);
-
-            let registry = self.registry.as_mut().expect("platform initialized");
-            let handler_ok = registry
-                .invoke(oms, TriggerKind::ProxyRequest, now)
-                .is_some();
-            assert!(
-                handler_ok,
-                "proxy execution requested on {seq} but no proxy handler is registered on {oms}; \
-                 execute Op::RegisterHandler on the OMS or keep auto-registration enabled"
-            );
-
             let start = (now + signal).max(self.oms_busy_until[proc_idx]);
             let oms_done = start + costs.yield_transfer + signal * 2 + priv_time;
             core.log_event(oms, TraceKind::ProxyStart);
@@ -394,14 +306,6 @@ impl Platform for MispPlatform {
             // serialization window (Equation 1).
             self.serialize_processor(core, proc_idx, Some(seq), now, priv_time);
             self.oms_busy_until[proc_idx] = oms_done;
-
-            let fabric = self.fabric.as_mut().expect("platform initialized");
-            fabric.send(
-                oms,
-                seq,
-                SignalKind::ProxyComplete,
-                oms_done.saturating_sub(signal),
-            );
             core.log_event(oms, TraceKind::ProxyDone);
             // The faulting shred resumes once its context has been handed back
             // (Equation 2 plus the privileged service time).
@@ -423,12 +327,7 @@ impl Platform for MispPlatform {
         }
 
         let ams_count = self.topology.processors()[proc_idx].ams().len();
-        let switch = self
-            .scheduler
-            .as_mut()
-            .expect("platform initialized")
-            .cpu_mut(proc_idx)
-            .on_tick();
+        let switch = self.scheduler.cpu_mut(proc_idx).on_tick();
 
         if let Some((prev, next)) = switch {
             priv_time += core.kernel().context_switch_cost(ams_count);
@@ -473,12 +372,7 @@ impl Platform for MispPlatform {
             core.log_event(from, TraceKind::SignalSent);
             return now;
         }
-        let arrival = self.fabric.as_mut().expect("platform initialized").send(
-            from,
-            target,
-            SignalKind::ShredStart,
-            now,
-        );
+        let arrival = now + core.costs().signal_cycles();
         let Some(thread) = core.sequencers().bound_thread(from) else {
             return now;
         };
@@ -500,12 +394,11 @@ impl Platform for MispPlatform {
     fn on_register_handler(
         &mut self,
         core: &mut EngineCore,
-        seq: SequencerId,
+        _seq: SequencerId,
         now: Cycles,
     ) -> Cycles {
-        let registry = self.registry.as_mut().expect("platform initialized");
-        registry.register(seq, TriggerKind::ProxyRequest);
-        registry.register(seq, TriggerKind::IngressSignal);
+        // The proxy handler is registered on every OMS from the start, so a
+        // registration only costs its YIELD-CONDITIONAL transfer.
         now + core.costs().yield_transfer
     }
 }

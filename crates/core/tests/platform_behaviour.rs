@@ -2,10 +2,10 @@
 //! execution, Ring 0 serialization, user-level signaling and the ring-policy
 //! ablation, measured through small, fully-controlled machines.
 
-use misp_core::{MispMachine, MispTopology, RingPolicy, SignalKind};
+use misp_core::{MispMachine, MispTopology, RingPolicy};
 use misp_isa::{Continuation, Op, ProgramBuilder, ProgramLibrary, SyscallKind};
 use misp_os::TimerConfig;
-use misp_sim::{SimConfig, SimReport, SingleShredRuntime};
+use misp_sim::{SimConfig, SimReport, SingleShredRuntime, TraceKind};
 use misp_types::{CostModel, Cycles, SequencerId, SignalCost, VirtAddr};
 
 /// A configuration with the timer disabled and round numbers for every cost,
@@ -140,7 +140,7 @@ fn speculative_ring_policy_eliminates_bystander_stalls() {
 }
 
 #[test]
-fn signal_starts_shreds_and_fabric_counts_every_message() {
+fn signal_starts_shreds_and_stats_count_every_message() {
     let a = ProgramBuilder::new("a")
         .compute(Cycles::new(1_000_000))
         .build();
@@ -159,7 +159,7 @@ fn signal_starts_shreds_and_fabric_counts_every_message() {
 }
 
 #[test]
-fn fabric_records_proxy_and_shred_start_traffic() {
+fn event_log_records_proxy_and_shred_start_traffic() {
     let toucher = ProgramBuilder::new("toucher")
         .load(VirtAddr::new(0x7300_0000))
         .build();
@@ -179,13 +179,15 @@ fn fabric_records_proxy_and_shred_start_traffic() {
     let mut machine = MispMachine::new(topology, exact_config(), library);
     machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
     let report = machine.run().unwrap();
-    let fabric = machine.engine().platform().fabric().expect("initialized");
-    assert_eq!(fabric.count(SignalKind::ShredStart), 1);
-    assert_eq!(fabric.count(SignalKind::ProxyRequest), 1);
-    assert_eq!(fabric.count(SignalKind::ProxyComplete), 1);
-    // The suspend/resume broadcast reached the two bystander AMSs.
-    assert_eq!(fabric.count(SignalKind::Suspend), 2);
-    assert_eq!(fabric.count(SignalKind::Resume), 2);
+    let log = machine.engine().core().log();
+    assert_eq!(log.count(TraceKind::SignalSent), 1);
+    assert_eq!(log.count(TraceKind::ProxyRequest), 1);
+    assert_eq!(log.count(TraceKind::ProxyStart), 1);
+    assert_eq!(log.count(TraceKind::ProxyDone), 1);
+    // Suspended and resumed: the two bystander AMSs, plus the OMS for its
+    // proxy occupancy.
+    assert_eq!(log.count(TraceKind::Suspend), 3);
+    assert_eq!(log.count(TraceKind::Resume), 3);
     assert_eq!(report.stats.proxy_executions, 1);
 }
 
@@ -221,61 +223,25 @@ fn cross_processor_signal_is_dropped() {
 }
 
 #[test]
-#[should_panic(expected = "no proxy handler is registered")]
-fn proxy_without_registered_handler_is_a_hard_error() {
-    let toucher = ProgramBuilder::new("toucher")
-        .load(VirtAddr::new(0x7400_0000))
-        .build();
-    let mut library = ProgramLibrary::new();
-    let toucher_ref = library.insert(toucher);
-    // Note: no Op::RegisterHandler in the main program.
-    let main = library.insert(
-        ProgramBuilder::new("main")
-            .op(Op::Signal {
-                target: SequencerId::new(1),
-                continuation: Continuation::for_program(toucher_ref),
-            })
-            .compute(Cycles::new(10_000_000))
-            .build(),
+fn handler_registration_costs_one_yield_transfer() {
+    let run = |register: bool| {
+        let mut main = ProgramBuilder::new("main");
+        if register {
+            main = main.op(Op::RegisterHandler);
+        }
+        let mut library = ProgramLibrary::new();
+        let main = library.insert(main.compute(Cycles::new(1_000)).build());
+        let topology = MispTopology::uniprocessor(1).unwrap();
+        let mut machine = MispMachine::new(topology, exact_config(), library);
+        machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
+        machine.run().unwrap().total_cycles
+    };
+    assert_eq!(run(false), Cycles::new(1_300));
+    assert_eq!(
+        run(true),
+        Cycles::new(1_500),
+        "RegisterHandler adds exactly yield_transfer (200 cycles)"
     );
-    let topology = MispTopology::uniprocessor(1).unwrap();
-    let mut machine = MispMachine::new(topology, exact_config(), library);
-    machine
-        .engine_mut()
-        .platform_mut()
-        .disable_auto_proxy_registration();
-    machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
-    let _ = machine.run();
-}
-
-#[test]
-fn explicit_handler_registration_enables_proxy_execution() {
-    let toucher = ProgramBuilder::new("toucher")
-        .load(VirtAddr::new(0x7500_0000))
-        .build();
-    let mut library = ProgramLibrary::new();
-    let toucher_ref = library.insert(toucher);
-    let main = library.insert(
-        ProgramBuilder::new("main")
-            .op(Op::RegisterHandler)
-            .op(Op::Signal {
-                target: SequencerId::new(1),
-                continuation: Continuation::for_program(toucher_ref),
-            })
-            .compute(Cycles::new(10_000_000))
-            .build(),
-    );
-    let topology = MispTopology::uniprocessor(1).unwrap();
-    let mut machine = MispMachine::new(topology, exact_config(), library);
-    machine
-        .engine_mut()
-        .platform_mut()
-        .disable_auto_proxy_registration();
-    machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
-    let report = machine.run().unwrap();
-    assert_eq!(report.stats.proxy_executions, 1);
-    let registry = machine.engine().platform().registry().expect("initialized");
-    assert!(registry.invocations() >= 1);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The kernel model: process/thread bookkeeping and privileged service times.
 
-use crate::{OsEventKind, OsThread, Process, ThreadState};
-use misp_types::{Arena, CostModel, Cycles, MispError, OsThreadId, ProcessId, Result};
+use crate::{OsEventKind, OsThread, Process};
+use misp_types::{Arena, CostModel, Cycles, OsThreadId, ProcessId};
 
 /// The simulated OS kernel.
 ///
@@ -74,20 +74,6 @@ impl Kernel {
         self.threads.get(tid)
     }
 
-    /// Updates the scheduling state of a thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::InvalidConfiguration`] if the thread is unknown.
-    pub fn set_thread_state(&mut self, tid: OsThreadId, state: ThreadState) -> Result<()> {
-        let thread = self
-            .threads
-            .get_mut(tid)
-            .ok_or_else(|| MispError::InvalidConfiguration(format!("unknown thread {tid}")))?;
-        thread.set_state(state);
-        Ok(())
-    }
-
     /// Kernel (Ring 0) service time for one event of the given kind,
     /// excluding the context-switch cost (which is charged separately when a
     /// timer tick actually preempts the running thread).
@@ -139,18 +125,6 @@ mod tests {
     fn spawn_thread_in_unknown_process_panics() {
         let mut k = Kernel::new(CostModel::default());
         let _ = k.spawn_thread(ProcessId::new(99));
-    }
-
-    #[test]
-    fn thread_state_updates() {
-        let mut k = Kernel::new(CostModel::default());
-        let p = k.spawn_process("a");
-        let t = k.spawn_thread(p);
-        k.set_thread_state(t, ThreadState::Running).unwrap();
-        assert_eq!(k.thread(t).unwrap().state(), ThreadState::Running);
-        assert!(k
-            .set_thread_state(OsThreadId::new(77), ThreadState::Running)
-            .is_err());
     }
 
     #[test]

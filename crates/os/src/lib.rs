@@ -11,7 +11,7 @@
 //! * [`Kernel`] — process/thread bookkeeping plus the privileged service-time
 //!   model (how long the OS spends in Ring 0 for each event).
 //! * [`CpuScheduler`] / [`SystemScheduler`] — a per-CPU round-robin scheduler
-//!   with a configurable quantum, used in the multi-programming experiments of
+//!   with a one-tick quantum, used in the multi-programming experiments of
 //!   Figure 7.
 //! * [`TimerConfig`] — timer-tick and uncategorized-interrupt generation.
 //!
@@ -40,6 +40,6 @@ mod timer;
 
 pub use event::{OsEventCounts, OsEventKind};
 pub use kernel::Kernel;
-pub use process::{OsThread, Process, ThreadState};
-pub use scheduler::{CpuScheduler, PlacementPolicy, SystemScheduler};
+pub use process::{OsThread, Process};
+pub use scheduler::{CpuScheduler, SystemScheduler};
 pub use timer::TimerConfig;

@@ -1,33 +1,7 @@
 //! Processes and OS-visible threads.
 
-use core::fmt;
 use misp_types::{OsThreadId, ProcessId};
 use serde::{Deserialize, Serialize};
-
-/// Scheduling state of an OS thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ThreadState {
-    /// Ready to run but not currently on a CPU.
-    Ready,
-    /// Currently executing on a CPU.
-    Running,
-    /// Blocked in the kernel (e.g. sleeping, waiting for I/O).
-    Blocked,
-    /// Finished.
-    Exited,
-}
-
-impl fmt::Display for ThreadState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ThreadState::Ready => "ready",
-            ThreadState::Running => "running",
-            ThreadState::Blocked => "blocked",
-            ThreadState::Exited => "exited",
-        };
-        f.write_str(s)
-    }
-}
 
 /// An OS process: a virtual address space plus a name, owning one or more
 /// threads.
@@ -78,18 +52,13 @@ impl Process {
 pub struct OsThread {
     id: OsThreadId,
     process: ProcessId,
-    state: ThreadState,
 }
 
 impl OsThread {
-    /// Creates a thread record in the [`ThreadState::Ready`] state.
+    /// Creates a thread record.
     #[must_use]
     pub fn new(id: OsThreadId, process: ProcessId) -> Self {
-        OsThread {
-            id,
-            process,
-            state: ThreadState::Ready,
-        }
+        OsThread { id, process }
     }
 
     /// The thread identifier.
@@ -102,17 +71,6 @@ impl OsThread {
     #[must_use]
     pub fn process(&self) -> ProcessId {
         self.process
-    }
-
-    /// The current scheduling state.
-    #[must_use]
-    pub fn state(&self) -> ThreadState {
-        self.state
-    }
-
-    /// Updates the scheduling state.
-    pub fn set_state(&mut self, state: ThreadState) {
-        self.state = state;
     }
 }
 
@@ -129,25 +87,5 @@ mod tests {
         p.add_thread(OsThreadId::new(0));
         p.add_thread(OsThreadId::new(1));
         assert_eq!(p.threads(), &[OsThreadId::new(0), OsThreadId::new(1)]);
-    }
-
-    #[test]
-    fn thread_state_transitions() {
-        let mut t = OsThread::new(OsThreadId::new(3), ProcessId::new(1));
-        assert_eq!(t.state(), ThreadState::Ready);
-        assert_eq!(t.id(), OsThreadId::new(3));
-        assert_eq!(t.process(), ProcessId::new(1));
-        t.set_state(ThreadState::Running);
-        assert_eq!(t.state(), ThreadState::Running);
-        t.set_state(ThreadState::Exited);
-        assert_eq!(t.state(), ThreadState::Exited);
-    }
-
-    #[test]
-    fn thread_state_display() {
-        assert_eq!(ThreadState::Ready.to_string(), "ready");
-        assert_eq!(ThreadState::Running.to_string(), "running");
-        assert_eq!(ThreadState::Blocked.to_string(), "blocked");
-        assert_eq!(ThreadState::Exited.to_string(), "exited");
     }
 }

@@ -1,7 +1,7 @@
 //! The work-queue gang scheduler (Figure 3 of the paper).
 
 use crate::service::{Admission, ServiceState};
-use crate::{SchedulingPolicy, ServiceModel, SyncTable, WorkQueue};
+use crate::{ServiceModel, SyncTable, WorkQueue};
 use misp_isa::{ProgramRef, RuntimeOp, ShredProgram};
 use misp_sim::{EngineCore, Runtime, RuntimeOutcome, ShredStatus};
 use misp_types::{ArenaMap, Cycles, LockId, OsThreadId, ProcessId, SequencerId, ShredId};
@@ -10,7 +10,6 @@ use std::sync::Arc;
 /// Builder for [`GangScheduler`].
 #[derive(Debug, Default, Clone)]
 pub struct GangSchedulerBuilder {
-    policy: SchedulingPolicy,
     main_program: Option<ProgramRef>,
     thread_program: Option<ProgramRef>,
     initial_shreds: Vec<ProgramRef>,
@@ -21,13 +20,6 @@ pub struct GangSchedulerBuilder {
 }
 
 impl GangSchedulerBuilder {
-    /// Selects the work-queue scheduling policy.
-    #[must_use]
-    pub fn policy(mut self, policy: SchedulingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The program run by the process's first OS thread (the "main" shred that
     /// typically registers the proxy handler and creates worker shreds).
     #[must_use]
@@ -101,11 +93,10 @@ impl GangSchedulerBuilder {
             sync.create_event(id, signaled);
         }
         GangScheduler {
-            policy: self.policy,
             main_program: self.main_program,
             thread_program: self.thread_program,
             initial_shreds: self.initial_shreds,
-            queue: WorkQueue::new(self.policy),
+            queue: WorkQueue::new(),
             sync,
             joiners: ArenaMap::new(),
             process: None,
@@ -130,7 +121,6 @@ impl GangSchedulerBuilder {
 /// paper's methodology of running the same shredded workload on both machines.
 #[derive(Debug)]
 pub struct GangScheduler {
-    policy: SchedulingPolicy,
     main_program: Option<ProgramRef>,
     thread_program: Option<ProgramRef>,
     initial_shreds: Vec<ProgramRef>,
@@ -151,12 +141,6 @@ impl GangScheduler {
     #[must_use]
     pub fn builder() -> GangSchedulerBuilder {
         GangSchedulerBuilder::default()
-    }
-
-    /// The scheduling policy in effect.
-    #[must_use]
-    pub fn policy(&self) -> SchedulingPolicy {
-        self.policy
     }
 
     /// Number of times shreds blocked on contended synchronization objects.
@@ -517,19 +501,6 @@ mod tests {
             .main_program(ProgramRef::new(1))
             .barrier(LockId::new(0), workers as usize + 1)
             .build()
-    }
-
-    #[test]
-    fn builder_configuration_is_visible() {
-        let g = GangScheduler::builder()
-            .policy(SchedulingPolicy::Lifo)
-            .main_program(ProgramRef::new(0))
-            .initial_shred(ProgramRef::new(1))
-            .semaphore(LockId::new(3), 2)
-            .event(LockId::new(4), false)
-            .barrier(LockId::new(5), 2)
-            .build();
-        assert_eq!(g.policy(), SchedulingPolicy::Lifo);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   as a [`misp_sim::Runtime`] so it can drive both the MISP machine and the
 //!   SMP baseline (where it plays the role of an ordinary thread-pool
 //!   runtime).
-//! * [`WorkQueue`] and [`SchedulingPolicy`] — the mutex-protected shred queue
-//!   and the selectable scheduling algorithms.
+//! * [`WorkQueue`] — the mutex-protected shred queue, dispatched first-in
+//!   first-out so shreds run in creation order (Figure 3).
 //! * [`SyncTable`] with mutexes, counting semaphores, condition variables,
 //!   events and barriers.
 //! * [`compat`] — the thread-to-shred API mapping tables used to port legacy
@@ -31,15 +31,14 @@
 //! through a barrier:
 //!
 //! ```
-//! use shredlib::{GangScheduler, SchedulingPolicy};
+//! use shredlib::GangScheduler;
 //! use misp_isa::ProgramRef;
 //!
 //! let scheduler = GangScheduler::builder()
-//!     .policy(SchedulingPolicy::Fifo)
 //!     .main_program(ProgramRef::new(0))
 //!     .barrier(misp_types::LockId::new(0), 5)
 //!     .build();
-//! assert_eq!(scheduler.policy(), SchedulingPolicy::Fifo);
+//! assert_eq!(scheduler.contention_events(), 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -52,6 +51,6 @@ mod service;
 mod sync;
 
 pub use gang::{GangScheduler, GangSchedulerBuilder};
-pub use queue::{SchedulingPolicy, WorkQueue};
+pub use queue::WorkQueue;
 pub use service::{RequestShape, ServiceModel};
 pub use sync::{SyncObject, SyncTable};

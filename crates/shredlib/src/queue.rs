@@ -1,27 +1,11 @@
 //! The shared work queue of the gang scheduler.
 
 use misp_types::ShredId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// The order in which ready shreds are dispatched from the work queue.
-///
-/// The paper notes that ShredLib implements several different shred-scheduling
-/// algorithms and can be customized per application (Section 4.2); the
-/// simulator exposes the queue disciplines that matter for the evaluated
-/// workloads.
-#[derive(Default, Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SchedulingPolicy {
-    /// First-in first-out: shreds run in creation order (the Figure 3
-    /// example).
-    #[default]
-    Fifo,
-    /// Last-in first-out: most recently created shreds run first (better
-    /// locality for recursive divide-and-conquer work).
-    Lifo,
-}
-
-/// The mutex-protected shared work queue holding ready shred continuations.
+/// The mutex-protected shared work queue holding ready shred continuations,
+/// dispatched first-in first-out: shreds run in creation order (the Figure 3
+/// example).
 ///
 /// In the real runtime the queue holds `<EIP, ESP>` pairs; in the simulator a
 /// ready shred is identified by its [`ShredId`] (its continuation lives in the
@@ -29,27 +13,15 @@ pub enum SchedulingPolicy {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct WorkQueue {
     ready: VecDeque<ShredId>,
-    policy: SchedulingPolicy,
     total_enqueued: u64,
     max_depth: usize,
 }
 
 impl WorkQueue {
-    /// Creates an empty queue with the given policy.
+    /// Creates an empty queue.
     #[must_use]
-    pub fn new(policy: SchedulingPolicy) -> Self {
-        WorkQueue {
-            ready: VecDeque::new(),
-            policy,
-            total_enqueued: 0,
-            max_depth: 0,
-        }
-    }
-
-    /// The scheduling policy.
-    #[must_use]
-    pub fn policy(&self) -> SchedulingPolicy {
-        self.policy
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Adds a ready shred to the queue.
@@ -59,12 +31,9 @@ impl WorkQueue {
         self.max_depth = self.max_depth.max(self.ready.len());
     }
 
-    /// Removes and returns the next shred to run according to the policy.
+    /// Removes and returns the oldest waiting shred.
     pub fn pop(&mut self) -> Option<ShredId> {
-        match self.policy {
-            SchedulingPolicy::Fifo => self.ready.pop_front(),
-            SchedulingPolicy::Lifo => self.ready.pop_back(),
-        }
+        self.ready.pop_front()
     }
 
     /// The shred [`pop`](WorkQueue::pop) would return, without removing it.
@@ -73,10 +42,7 @@ impl WorkQueue {
     /// blocked head preserves FIFO order instead of being skipped.
     #[must_use]
     pub fn peek(&self) -> Option<ShredId> {
-        match self.policy {
-            SchedulingPolicy::Fifo => self.ready.front().copied(),
-            SchedulingPolicy::Lifo => self.ready.back().copied(),
-        }
+        self.ready.front().copied()
     }
 
     /// Number of shreds currently waiting.
@@ -126,7 +92,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let mut q = WorkQueue::new(SchedulingPolicy::Fifo);
+        let mut q = WorkQueue::new();
         for i in 0..3 {
             q.push(s(i));
         }
@@ -137,35 +103,22 @@ mod tests {
     }
 
     #[test]
-    fn lifo_order() {
-        let mut q = WorkQueue::new(SchedulingPolicy::Lifo);
+    fn peek_matches_pop() {
+        let mut q = WorkQueue::new();
+        assert_eq!(q.peek(), None);
         for i in 0..3 {
             q.push(s(i));
         }
-        assert_eq!(q.pop(), Some(s(2)));
-        assert_eq!(q.pop(), Some(s(1)));
-        assert_eq!(q.pop(), Some(s(0)));
-    }
-
-    #[test]
-    fn peek_matches_pop_for_both_policies() {
-        for policy in [SchedulingPolicy::Fifo, SchedulingPolicy::Lifo] {
-            let mut q = WorkQueue::new(policy);
-            assert_eq!(q.peek(), None);
-            for i in 0..3 {
-                q.push(s(i));
-            }
-            while !q.is_empty() {
-                let peeked = q.peek();
-                assert_eq!(peeked, q.pop(), "{policy:?}");
-            }
-            assert_eq!(q.peek(), None);
+        while !q.is_empty() {
+            let peeked = q.peek();
+            assert_eq!(peeked, q.pop());
         }
+        assert_eq!(q.peek(), None);
     }
 
     #[test]
     fn statistics_and_remove() {
-        let mut q = WorkQueue::new(SchedulingPolicy::Fifo);
+        let mut q = WorkQueue::new();
         q.push(s(0));
         q.push(s(1));
         q.push(s(2));
@@ -176,12 +129,5 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.total_enqueued(), 3);
         assert!(!q.is_empty());
-        assert_eq!(q.policy(), SchedulingPolicy::Fifo);
-    }
-
-    #[test]
-    fn default_policy_is_fifo() {
-        assert_eq!(SchedulingPolicy::default(), SchedulingPolicy::Fifo);
-        assert_eq!(WorkQueue::default().policy(), SchedulingPolicy::Fifo);
     }
 }

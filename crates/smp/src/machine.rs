@@ -27,6 +27,8 @@ impl SmpMachine {
 
     /// Adds a process with one OS thread and the given user-level runtime,
     /// pinned to `core` if given (otherwise placed on the least-loaded core).
+    /// Threads are placed in call order, so pin threads before adding any
+    /// that are placed automatically.
     pub fn add_process(
         &mut self,
         name: &str,

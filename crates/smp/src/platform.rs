@@ -1,6 +1,6 @@
 //! The SMP platform implementation.
 
-use misp_os::{OsEventKind, PlacementPolicy, SystemScheduler};
+use misp_os::{OsEventKind, SystemScheduler};
 use misp_sim::{EngineCore, Platform, TraceKind};
 use misp_types::{Cycles, FxHashMap, OsThreadId, SequencerId};
 
@@ -13,11 +13,8 @@ use misp_types::{Cycles, FxHashMap, OsThreadId, SequencerId};
 #[derive(Debug)]
 pub struct SmpPlatform {
     cores: usize,
-    quantum_ticks: u64,
-    scheduler: Option<SystemScheduler>,
+    scheduler: SystemScheduler,
     thread_ctx: FxHashMap<OsThreadId, misp_sim::SavedContext>,
-    pinned: Vec<(OsThreadId, usize)>,
-    auto_place: Vec<OsThreadId>,
 }
 
 impl SmpPlatform {
@@ -31,11 +28,8 @@ impl SmpPlatform {
         assert!(cores > 0, "an SMP machine needs at least one core");
         SmpPlatform {
             cores,
-            quantum_ticks: 1,
-            scheduler: None,
+            scheduler: SystemScheduler::new(cores),
             thread_ctx: FxHashMap::default(),
-            pinned: Vec::new(),
-            auto_place: Vec::new(),
         }
     }
 
@@ -45,16 +39,6 @@ impl SmpPlatform {
         self.cores
     }
 
-    /// Sets the OS scheduling quantum in timer ticks (default 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ticks` is zero.
-    pub fn set_quantum_ticks(&mut self, ticks: u64) {
-        assert!(ticks > 0, "quantum must be at least one tick");
-        self.quantum_ticks = ticks;
-    }
-
     /// Pins `thread` to core `core_index`.
     ///
     /// # Panics
@@ -62,12 +46,14 @@ impl SmpPlatform {
     /// Panics if `core_index` is out of range.
     pub fn pin_thread(&mut self, thread: OsThreadId, core_index: usize) {
         assert!(core_index < self.cores, "core index out of range");
-        self.pinned.push((thread, core_index));
+        self.scheduler.place_on(thread, core_index);
     }
 
-    /// Places `thread` on the least-loaded core.
+    /// Places `thread` on the least-loaded core (ties broken by lowest
+    /// index).  Threads are placed in call order, so the load counts every
+    /// thread pinned or placed before this call, and none after it.
     pub fn place_thread(&mut self, thread: OsThreadId) {
-        self.auto_place.push(thread);
+        self.scheduler.place(thread);
     }
 
     fn install_thread(
@@ -90,9 +76,6 @@ impl SmpPlatform {
         core.sequencers_mut().set_bound_thread(seq, Some(thread));
         let ctx = self.thread_ctx.remove(&thread).unwrap_or_default();
         core.restore_context(seq, ctx, at);
-        let _ = core
-            .kernel_mut()
-            .set_thread_state(thread, misp_os::ThreadState::Running);
     }
 }
 
@@ -106,27 +89,18 @@ impl Platform for SmpPlatform {
         let clusters: Vec<usize> = (0..self.cores).collect();
         core.memory_mut().configure_caches(cache_config, &clusters);
 
-        let mut scheduler =
-            SystemScheduler::new(self.cores, self.quantum_ticks, PlacementPolicy::LeastLoaded);
-        for &(thread, core_idx) in &self.pinned {
-            scheduler.place_on(thread, core_idx);
-        }
-        for &thread in &self.auto_place {
-            scheduler.place(thread);
-        }
         for core_idx in 0..self.cores {
-            let dispatched = scheduler.cpu_mut(core_idx).dispatch();
+            let dispatched = self.scheduler.cpu_mut(core_idx).dispatch();
             if let Some(thread) = dispatched {
                 self.install_thread(core, core_idx, thread, Cycles::ZERO);
             }
-            if scheduler.cpu(core_idx).load() > 0 || dispatched.is_some() {
+            if self.scheduler.cpu(core_idx).load() > 0 || dispatched.is_some() {
                 let first = core.config().timer.next_tick_after(Cycles::ZERO);
                 if first != Cycles::MAX {
                     core.schedule_timer(SequencerId::new(core_idx as u32), first, 1);
                 }
             }
         }
-        self.scheduler = Some(scheduler);
     }
 
     fn on_priv_event(
@@ -160,12 +134,7 @@ impl Platform for SmpPlatform {
             priv_time += core.kernel().service_cost(OsEventKind::OtherInterrupt);
         }
 
-        let switch = self
-            .scheduler
-            .as_mut()
-            .expect("platform initialized")
-            .cpu_mut(core_idx)
-            .on_tick();
+        let switch = self.scheduler.cpu_mut(core_idx).on_tick();
 
         if let Some((prev, next)) = switch {
             priv_time += core.kernel().context_switch_cost(0);
@@ -176,9 +145,6 @@ impl Platform for SmpPlatform {
             // cache model is disabled).
             core.memory_mut().flush_cache(cpu);
             self.thread_ctx.insert(prev, ctx);
-            let _ = core
-                .kernel_mut()
-                .set_thread_state(prev, misp_os::ThreadState::Ready);
             self.install_thread(core, core_idx, next, now + priv_time);
         } else {
             core.stall(cpu, now, now + priv_time);
@@ -415,7 +381,6 @@ mod tests {
     fn accessors() {
         let mut p = SmpPlatform::new(8);
         assert_eq!(p.cores(), 8);
-        p.set_quantum_ticks(4);
         p.pin_thread(OsThreadId::new(0), 7);
         p.place_thread(OsThreadId::new(1));
     }

@@ -41,7 +41,7 @@
 use misp_core::{FleetTopology, LoadBalancerPolicy};
 use misp_isa::{ProgramLibrary, ShredProgram};
 use misp_types::{Cycles, SplitMix64, VirtAddr};
-use shredlib::{GangScheduler, RequestShape, SchedulingPolicy, ServiceModel};
+use shredlib::{GangScheduler, RequestShape, ServiceModel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -308,7 +308,6 @@ impl Scenario {
         let generator =
             library.insert(model.generator(format!("{}-generator", self.name), request));
         GangScheduler::builder()
-            .policy(SchedulingPolicy::Fifo)
             .main_program(generator)
             .service(model)
             .build()
@@ -526,11 +525,10 @@ mod tests {
         for requests in [10, 10_000] {
             let s = by_name("poisson").unwrap().with_requests(requests);
             let mut lib = ProgramLibrary::new();
-            let sched = s.build(&mut lib, 9);
+            let _ = s.build(&mut lib, 9);
             assert_eq!(lib.len(), 2, "request template + generator at {requests}");
             let ops: u64 = lib.iter().map(|(_, p)| p.flat_len()).sum();
             assert_eq!(ops, 5, "program ops are constant in the stream length");
-            assert_eq!(sched.policy(), SchedulingPolicy::Fifo);
         }
     }
 

@@ -4,7 +4,7 @@ use crate::{LocalityProfile, Suite, WorkloadParams};
 use misp_isa::{Op, ProgramBuilder, ProgramLibrary, SyscallKind};
 use misp_mem::WorkingSet;
 use misp_types::{Cycles, LockId, VirtAddr, PAGE_SIZE};
-use shredlib::{compat::LegacyApi, GangScheduler, SchedulingPolicy};
+use shredlib::{compat::LegacyApi, GangScheduler};
 
 /// Base virtual address of the main shred's (serial-region) working set.
 const MAIN_BASE: u64 = 0x1000_0000;
@@ -238,16 +238,10 @@ impl Workload {
         main = main.barrier_wait(FINISH_BARRIER);
         let main_ref = library.insert(main.build());
 
-        let mut builder = GangScheduler::builder()
-            .policy(SchedulingPolicy::Fifo)
+        GangScheduler::builder()
             .main_program(main_ref)
-            .barrier(FINISH_BARRIER, workers + 1);
-        if p.lock_contention {
-            // The mutex is created implicitly on first use, but declaring the
-            // intent here keeps the configuration self-describing.
-            builder = builder.semaphore(LockId::new(2), 0);
-        }
-        builder.build()
+            .barrier(FINISH_BARRIER, workers + 1)
+            .build()
     }
 }
 

@@ -7,7 +7,7 @@ use misp::core::{FleetTopology, LoadBalancerPolicy, MispMachine, MispTopology};
 use misp::harness::{grids, run_grid, SweepOptions, VerifyMode};
 use misp::isa::{Op, ProgramBuilder, ProgramLibrary, ShredProgram};
 use misp::os::TimerConfig;
-use misp::shredlib::{GangScheduler, SchedulingPolicy};
+use misp::shredlib::GangScheduler;
 use misp::sim::{SimConfig, SimReport, TraceConfig};
 use misp::smp::SmpMachine;
 use misp::types::{Cycles, Histogram};
@@ -203,7 +203,6 @@ fn upfront_build(
     }
     let generator = library.insert(generator.build());
     GangScheduler::builder()
-        .policy(SchedulingPolicy::Fifo)
         .initial_shred(generator)
         .service(s.service_model(stream))
         .build()

@@ -4,7 +4,7 @@
 //! mutex + work-queue + barrier pattern every shredded workload uses: each
 //! shred repeatedly acquires the mutex, completes one chunk of work,
 //! releases, and finally arrives at the barrier.  The schedule — which ready
-//! shred runs next, and whether it is taken in policy order or stolen from
+//! shred runs next, and whether it is taken in FIFO order or stolen from
 //! the middle of the queue — is randomized per case.  For every schedule:
 //!
 //! * the system terminates (no deadlock, no livelock) within a step bound,
@@ -13,7 +13,7 @@
 //! * the mutex ends free, the barrier releases exactly once, and the work
 //!   queue drains.
 
-use misp::shredlib::{SchedulingPolicy, SyncTable, WorkQueue};
+use misp::shredlib::{SyncTable, WorkQueue};
 use misp::types::{LockId, ShredId};
 use proptest::prelude::*;
 
@@ -66,10 +66,10 @@ struct Executor {
 }
 
 impl Executor {
-    fn new(shreds: usize, chunks: u64, policy: SchedulingPolicy) -> Self {
+    fn new(shreds: usize, chunks: u64) -> Self {
         let mut table = SyncTable::new();
         table.create_barrier(BARRIER, shreds);
-        let mut queue = WorkQueue::new(policy);
+        let mut queue = WorkQueue::new();
         let mut ready = Vec::new();
         for i in 0..shreds {
             let id = ShredId::new(i as u32);
@@ -92,7 +92,7 @@ impl Executor {
         self.ready.push(shred);
     }
 
-    /// Picks the next shred: usually in queue-policy order, sometimes an
+    /// Picks the next shred: usually in queue (FIFO) order, sometimes an
     /// arbitrary victim removed from the middle (a stolen continuation).
     fn pick(&mut self, rng: &mut Rng) -> Option<ShredId> {
         if self.ready.is_empty() {
@@ -176,11 +176,10 @@ proptest! {
     /// queue terminate without deadlock and conserve chunk counts.
     #[test]
     fn random_schedules_terminate_and_conserve_chunks(
-        case in (1usize..12, 1u64..8, any::<bool>(), any::<u64>())
+        case in (1usize..12, 1u64..8, any::<u64>())
     ) {
-        let (shreds, chunks, lifo, seed) = case;
-        let policy = if lifo { SchedulingPolicy::Lifo } else { SchedulingPolicy::Fifo };
-        let mut executor = Executor::new(shreds, chunks, policy);
+        let (shreds, chunks, seed) = case;
+        let mut executor = Executor::new(shreds, chunks);
         let mut rng = Rng(seed);
 
         // Each shred takes 2 steps per chunk (lock, then work+unlock) plus a
@@ -220,7 +219,7 @@ proptest! {
         case in (1usize..12, 1u64..6, any::<u64>())
     ) {
         let (shreds, chunks, seed) = case;
-        let mut executor = Executor::new(shreds, chunks, SchedulingPolicy::Fifo);
+        let mut executor = Executor::new(shreds, chunks);
         let mut rng = Rng(seed);
         while let Some(shred) = executor.pick(&mut rng) {
             executor.step(shred);
