@@ -288,7 +288,6 @@ impl Platform for MispPlatform {
             // proxy handler is registered on every OMS from the start, so the
             // request is always serviced.
             core.stats_mut().record_event(seq, kind, false);
-            core.stats_mut().proxy_executions += 1;
             core.log_event(seq, TraceKind::ProxyRequest);
             let start = (now + signal).max(self.oms_busy_until[proc_idx]);
             let oms_done = start + costs.yield_transfer + signal * 2 + priv_time;
@@ -331,7 +330,6 @@ impl Platform for MispPlatform {
 
         if let Some((prev, next)) = switch {
             priv_time += core.kernel().context_switch_cost(ams_count);
-            core.stats_mut().context_switches += 1;
             core.log_event(oms, TraceKind::ContextSwitch);
             self.evict_thread(core, proc_idx, prev, now);
             let signal = core.costs().signal_cycles();
@@ -363,13 +361,11 @@ impl Platform for MispPlatform {
     ) -> Cycles {
         let from_proc = self.processor_index(from);
         let Some(target_proc) = self.topology.processor_index_of(target) else {
-            core.log_event(from, TraceKind::SignalSent);
             return now;
         };
         if from_proc != target_proc {
             // SIDs are local to the MISP processor (Section 2.4); a
             // cross-processor SIGNAL is ignored, as unknown SIDs would be.
-            core.log_event(from, TraceKind::SignalSent);
             return now;
         }
         let arrival = now + core.costs().signal_cycles();

@@ -23,6 +23,21 @@ fn exact_config() -> SimConfig {
     }
 }
 
+/// Runs `machine` and checks that each `SimStats` counter mirroring an
+/// event-log kind equals that kind's tally in the machine's log.
+fn run_checked(machine: &mut MispMachine) -> SimReport {
+    let report = machine.run().unwrap();
+    let log = machine.engine().core().log();
+    for (counter, kind) in [
+        (report.stats.signals_sent, TraceKind::SignalSent),
+        (report.stats.proxy_executions, TraceKind::ProxyRequest),
+        (report.stats.context_switches, TraceKind::ContextSwitch),
+    ] {
+        assert_eq!(counter, log.count(kind), "counter vs {kind:?} tally");
+    }
+    report
+}
+
 /// Builds and runs a machine in which the main shred (on the OMS) registers
 /// the proxy handler, starts the given programs on AMSs via `SIGNAL`, and
 /// computes for a long time so it never needs the AMSs' sequencers.
@@ -50,7 +65,7 @@ fn run_with_signalled_shreds(
     let mut machine = MispMachine::new(topology, exact_config(), library);
     machine.engine_mut().platform_mut().set_policy(policy);
     machine.add_process("test", Box::new(SingleShredRuntime::new(main_ref)), Some(0));
-    machine.run().unwrap()
+    run_checked(&mut machine)
 }
 
 #[test]
@@ -113,7 +128,7 @@ fn oms_syscall_suspends_running_ams_for_the_serialization_window() {
     let topology = MispTopology::uniprocessor(1).unwrap();
     let mut machine = MispMachine::new(topology, exact_config(), library);
     machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
-    let report = machine.run().unwrap();
+    let report = run_checked(&mut machine);
 
     assert_eq!(report.stats.oms_events.syscalls, 1);
     // Equation 1 with priv = syscall service (3,000): 2*5000 + 3000 = 13,000.
@@ -178,7 +193,7 @@ fn event_log_records_proxy_and_shred_start_traffic() {
     let topology = MispTopology::uniprocessor(3).unwrap();
     let mut machine = MispMachine::new(topology, exact_config(), library);
     machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
-    let report = machine.run().unwrap();
+    let report = run_checked(&mut machine);
     let log = machine.engine().core().log();
     assert_eq!(log.count(TraceKind::SignalSent), 1);
     assert_eq!(log.count(TraceKind::ProxyRequest), 1);
@@ -212,10 +227,15 @@ fn cross_processor_signal_is_dropped() {
     let topology = MispTopology::uniform(2, 1).unwrap();
     let mut machine = MispMachine::new(topology, exact_config(), library);
     machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
-    let report = machine.run().unwrap();
+    let report = run_checked(&mut machine);
     assert_eq!(
         report.stats.signals_sent, 1,
         "the SIGNAL instruction executed"
+    );
+    assert_eq!(
+        machine.engine().core().log().count(TraceKind::SignalSent),
+        1,
+        "a dropped SIGNAL is logged once"
     );
     // ...but no shred was created or run anywhere else.
     assert_eq!(machine.engine().core().shreds().len(), 1);
@@ -234,7 +254,7 @@ fn handler_registration_costs_one_yield_transfer() {
         let topology = MispTopology::uniprocessor(1).unwrap();
         let mut machine = MispMachine::new(topology, exact_config(), library);
         machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
-        machine.run().unwrap().total_cycles
+        run_checked(&mut machine).total_cycles
     };
     assert_eq!(run(false), Cycles::new(1_300));
     assert_eq!(
@@ -283,7 +303,7 @@ fn larger_signal_costs_stretch_every_window_proportionally() {
         };
         let mut machine = MispMachine::new(MispTopology::uniprocessor(2).unwrap(), config, library);
         machine.add_process("test", Box::new(SingleShredRuntime::new(main)), Some(0));
-        machine.run().unwrap()
+        run_checked(&mut machine)
     };
 
     let r500 = run(SignalCost::Aggressive500);
@@ -338,7 +358,7 @@ fn mp_machine_isolates_ring_transitions_to_their_own_processor() {
     let mut machine = MispMachine::new(topology, exact_config(), library);
     machine.add_process("noisy", Box::new(SingleShredRuntime::new(noisy)), Some(0));
     machine.add_process("quiet", Box::new(SingleShredRuntime::new(quiet)), Some(1));
-    let report = machine.run().unwrap();
+    let report = run_checked(&mut machine);
 
     assert_eq!(report.stats.oms_events.syscalls, 50);
     // Processor 0's AMS (sequencer 1) was stalled by every syscall ...

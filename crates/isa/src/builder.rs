@@ -81,18 +81,6 @@ impl ProgramBuilder {
         self.op(Op::Runtime(RuntimeOp::ShredCreate { program }))
     }
 
-    /// Appends a shred-exit runtime call.
-    #[must_use]
-    pub fn shred_exit(self) -> Self {
-        self.op(Op::Runtime(RuntimeOp::ShredExit))
-    }
-
-    /// Appends a voluntary yield.
-    #[must_use]
-    pub fn shred_yield(self) -> Self {
-        self.op(Op::Runtime(RuntimeOp::ShredYield))
-    }
-
     /// Appends a join on `target`.
     #[must_use]
     pub fn shred_join(self, target: ShredId) -> Self {
@@ -111,52 +99,10 @@ impl ProgramBuilder {
         self.op(Op::Runtime(RuntimeOp::MutexUnlock(id)))
     }
 
-    /// Appends a semaphore wait.
-    #[must_use]
-    pub fn sem_wait(self, id: LockId) -> Self {
-        self.op(Op::Runtime(RuntimeOp::SemWait(id)))
-    }
-
-    /// Appends a semaphore post.
-    #[must_use]
-    pub fn sem_post(self, id: LockId) -> Self {
-        self.op(Op::Runtime(RuntimeOp::SemPost(id)))
-    }
-
-    /// Appends a condition-variable wait (releasing `mutex`).
-    #[must_use]
-    pub fn cond_wait(self, cond: LockId, mutex: LockId) -> Self {
-        self.op(Op::Runtime(RuntimeOp::CondWait { cond, mutex }))
-    }
-
-    /// Appends a condition-variable signal.
-    #[must_use]
-    pub fn cond_signal(self, cond: LockId) -> Self {
-        self.op(Op::Runtime(RuntimeOp::CondSignal(cond)))
-    }
-
-    /// Appends a condition-variable broadcast.
-    #[must_use]
-    pub fn cond_broadcast(self, cond: LockId) -> Self {
-        self.op(Op::Runtime(RuntimeOp::CondBroadcast(cond)))
-    }
-
     /// Appends a barrier wait.
     #[must_use]
     pub fn barrier_wait(self, id: LockId) -> Self {
         self.op(Op::Runtime(RuntimeOp::BarrierWait(id)))
-    }
-
-    /// Appends an event wait.
-    #[must_use]
-    pub fn event_wait(self, id: LockId) -> Self {
-        self.op(Op::Runtime(RuntimeOp::EventWait(id)))
-    }
-
-    /// Appends an event set.
-    #[must_use]
-    pub fn event_set(self, id: LockId) -> Self {
-        self.op(Op::Runtime(RuntimeOp::EventSet(id)))
     }
 
     /// Appends a counted loop whose body is built by `f`.
@@ -265,24 +211,12 @@ mod tests {
         let p = ProgramBuilder::new("t")
             .mutex_lock(m)
             .mutex_unlock(m)
-            .sem_wait(m)
-            .sem_post(m)
-            .cond_wait(LockId::new(2), m)
-            .cond_signal(LockId::new(2))
-            .cond_broadcast(LockId::new(2))
             .barrier_wait(LockId::new(3))
-            .event_wait(LockId::new(4))
-            .event_set(LockId::new(4))
             .shred_create(ProgramRef::new(0))
             .shred_join(ShredId::new(0))
-            .shred_yield()
-            .shred_exit()
             .build();
-        assert_eq!(p.flat_len(), 15);
-        assert!(p
-            .iter_flat()
-            .take(14)
-            .all(|op| matches!(op, Op::Runtime(_))));
+        assert_eq!(p.flat_len(), 6);
+        assert!(p.iter_flat().take(5).all(|op| matches!(op, Op::Runtime(_))));
     }
 
     #[test]

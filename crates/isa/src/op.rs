@@ -38,12 +38,6 @@ pub enum RuntimeOp {
         /// The program the new shred will execute.
         program: ProgramRef,
     },
-    /// Terminate the current shred.  The sequencer returns to the gang
-    /// scheduler, which pops the next ready shred from the work queue.
-    ShredExit,
-    /// Voluntarily yield the sequencer: the current shred is placed back on
-    /// the work queue and the next ready shred (possibly the same one) runs.
-    ShredYield,
     /// Block until the shred identified by `target` has exited.
     ShredJoin {
         /// The shred to wait for.
@@ -53,49 +47,18 @@ pub enum RuntimeOp {
     MutexLock(LockId),
     /// Release a mutex previously acquired by this shred.
     MutexUnlock(LockId),
-    /// Decrement a counting semaphore, blocking while its value is zero.
-    SemWait(LockId),
-    /// Increment a counting semaphore, waking one waiter if any.
-    SemPost(LockId),
-    /// Atomically release `mutex` and wait on condition variable `cond`.
-    CondWait {
-        /// The condition variable to wait on.
-        cond: LockId,
-        /// The mutex released while waiting and re-acquired before returning.
-        mutex: LockId,
-    },
-    /// Wake one waiter of a condition variable.
-    CondSignal(LockId),
-    /// Wake all waiters of a condition variable.
-    CondBroadcast(LockId),
     /// Wait at a barrier until all participants have arrived.
     BarrierWait(LockId),
-    /// Block until an event object becomes signaled.
-    EventWait(LockId),
-    /// Signal an event object, releasing all current and future waiters.
-    EventSet(LockId),
-    /// Reset an event object to the non-signaled state.
-    EventReset(LockId),
 }
 
 impl fmt::Display for RuntimeOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeOp::ShredCreate { program } => write!(f, "shred_create({program})"),
-            RuntimeOp::ShredExit => f.write_str("shred_exit"),
-            RuntimeOp::ShredYield => f.write_str("shred_yield"),
             RuntimeOp::ShredJoin { target } => write!(f, "shred_join({target})"),
             RuntimeOp::MutexLock(id) => write!(f, "mutex_lock({id})"),
             RuntimeOp::MutexUnlock(id) => write!(f, "mutex_unlock({id})"),
-            RuntimeOp::SemWait(id) => write!(f, "sem_wait({id})"),
-            RuntimeOp::SemPost(id) => write!(f, "sem_post({id})"),
-            RuntimeOp::CondWait { cond, mutex } => write!(f, "cond_wait({cond}, {mutex})"),
-            RuntimeOp::CondSignal(id) => write!(f, "cond_signal({id})"),
-            RuntimeOp::CondBroadcast(id) => write!(f, "cond_broadcast({id})"),
             RuntimeOp::BarrierWait(id) => write!(f, "barrier_wait({id})"),
-            RuntimeOp::EventWait(id) => write!(f, "event_wait({id})"),
-            RuntimeOp::EventSet(id) => write!(f, "event_set({id})"),
-            RuntimeOp::EventReset(id) => write!(f, "event_reset({id})"),
         }
     }
 }
@@ -245,14 +208,6 @@ mod tests {
             Op::Runtime(RuntimeOp::MutexLock(LockId::new(1))).to_string(),
             "mutex_lock(LCK1)"
         );
-        assert_eq!(
-            Op::Runtime(RuntimeOp::CondWait {
-                cond: LockId::new(2),
-                mutex: LockId::new(3)
-            })
-            .to_string(),
-            "cond_wait(LCK2, LCK3)"
-        );
     }
 
     #[test]
@@ -262,21 +217,12 @@ mod tests {
             RuntimeOp::ShredCreate {
                 program: ProgramRef::new(0),
             },
-            RuntimeOp::ShredExit,
-            RuntimeOp::ShredYield,
             RuntimeOp::ShredJoin {
                 target: ShredId::new(1),
             },
             RuntimeOp::MutexLock(id),
             RuntimeOp::MutexUnlock(id),
-            RuntimeOp::SemWait(id),
-            RuntimeOp::SemPost(id),
-            RuntimeOp::CondSignal(id),
-            RuntimeOp::CondBroadcast(id),
             RuntimeOp::BarrierWait(id),
-            RuntimeOp::EventWait(id),
-            RuntimeOp::EventSet(id),
-            RuntimeOp::EventReset(id),
         ];
         for op in ops {
             assert!(!op.to_string().is_empty());

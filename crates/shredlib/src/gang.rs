@@ -14,8 +14,6 @@ pub struct GangSchedulerBuilder {
     thread_program: Option<ProgramRef>,
     initial_shreds: Vec<ProgramRef>,
     barriers: Vec<(LockId, usize)>,
-    semaphores: Vec<(LockId, u64)>,
-    events: Vec<(LockId, bool)>,
     service: Option<ServiceModel>,
 }
 
@@ -52,20 +50,6 @@ impl GangSchedulerBuilder {
         self
     }
 
-    /// Pre-registers a counting semaphore.
-    #[must_use]
-    pub fn semaphore(mut self, id: LockId, initial: u64) -> Self {
-        self.semaphores.push((id, initial));
-        self
-    }
-
-    /// Pre-registers an event object.
-    #[must_use]
-    pub fn event(mut self, id: LockId, signaled: bool) -> Self {
-        self.events.push((id, signaled));
-        self
-    }
-
     /// Attaches an open-loop [`ServiceModel`]: every `ShredCreate` becomes a
     /// request admission measured against the model's arrival schedule, and
     /// an admitted request's shred runs the ops the model builds for it
@@ -85,12 +69,6 @@ impl GangSchedulerBuilder {
         let mut sync = SyncTable::new();
         for &(id, parties) in &self.barriers {
             sync.create_barrier(id, parties);
-        }
-        for &(id, initial) in &self.semaphores {
-            sync.create_semaphore(id, initial);
-        }
-        for &(id, signaled) in &self.events {
-            sync.create_event(id, signaled);
         }
         GangScheduler {
             main_program: self.main_program,
@@ -114,7 +92,9 @@ impl GangSchedulerBuilder {
 /// continuations and its synchronization objects.  Every sequencer that runs
 /// out of work asks the scheduler for the next ready shred — exactly the
 /// `Run_shred` loop of Figure 3 — and every runtime operation a shred performs
-/// (create, exit, yield, join, lock, …) is interpreted here.
+/// (create, join, mutex lock and unlock, barrier wait) is interpreted here.
+/// A shred ends by halting, which completes its request and wakes its
+/// joiners.
 ///
 /// The same scheduler runs unchanged on the SMP baseline, where it plays the
 /// role of a conventional user-level thread-pool runtime; this mirrors the
@@ -141,12 +121,6 @@ impl GangScheduler {
     #[must_use]
     pub fn builder() -> GangSchedulerBuilder {
         GangSchedulerBuilder::default()
-    }
-
-    /// Number of times shreds blocked on contended synchronization objects.
-    #[must_use]
-    pub fn contention_events(&self) -> u64 {
-        self.sync.contention_events()
     }
 
     /// Length of the service model's request table, which is indexed by
@@ -275,7 +249,6 @@ impl Runtime for GangScheduler {
         now: Cycles,
     ) -> RuntimeOutcome {
         let lock_cost = core.costs().queue_lock;
-        let switch_cost = core.costs().shred_context_switch;
         match op {
             RuntimeOp::ShredCreate { program } => {
                 // Under a service model the create is an admission decision:
@@ -307,16 +280,6 @@ impl Runtime for GangScheduler {
                 self.wake_all(core, now);
                 RuntimeOutcome::Continue { cost: lock_cost }
             }
-            RuntimeOp::ShredExit => {
-                self.complete_request(core, shred, now);
-                let joiners = self.joiners.remove(shred).unwrap_or_default();
-                self.make_ready(core, &joiners, now);
-                RuntimeOutcome::Exit { cost: switch_cost }
-            }
-            RuntimeOp::ShredYield => {
-                self.queue.push(shred);
-                RuntimeOutcome::Yield { cost: lock_cost }
-            }
             RuntimeOp::ShredJoin { target } => {
                 let done = core
                     .shred(*target)
@@ -337,32 +300,8 @@ impl Runtime for GangScheduler {
             RuntimeOp::MutexUnlock(id) => {
                 self.apply_sync(core, now, lock_cost, |sync| sync.mutex_unlock(*id, shred))
             }
-            RuntimeOp::SemWait(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.sem_wait(*id, shred))
-            }
-            RuntimeOp::SemPost(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.sem_post(*id))
-            }
-            RuntimeOp::CondWait { cond, mutex } => self.apply_sync(core, now, lock_cost, |sync| {
-                sync.cond_wait(*cond, *mutex, shred)
-            }),
-            RuntimeOp::CondSignal(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.cond_signal(*id))
-            }
-            RuntimeOp::CondBroadcast(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.cond_broadcast(*id))
-            }
             RuntimeOp::BarrierWait(id) => {
                 self.apply_sync(core, now, lock_cost, |sync| sync.barrier_wait(*id, shred))
-            }
-            RuntimeOp::EventWait(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.event_wait(*id, shred))
-            }
-            RuntimeOp::EventSet(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.event_set(*id))
-            }
-            RuntimeOp::EventReset(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.event_reset(*id))
             }
         }
     }
@@ -618,30 +557,6 @@ mod tests {
             report.total_cycles >= Cycles::new(210_000),
             "main must wait for the worker before its final compute"
         );
-    }
-
-    #[test]
-    fn yield_lets_other_shreds_run_on_one_sequencer() {
-        let mut lib = ProgramLibrary::new();
-        let a = lib.insert(
-            ProgramBuilder::new("a")
-                .repeat(10, |b| b.compute(Cycles::new(100)).shred_yield())
-                .build(),
-        );
-        let main = lib.insert(
-            ProgramBuilder::new("main")
-                .shred_create(a)
-                .shred_create(a)
-                .build(),
-        );
-        let mut machine = MispMachine::new(MispTopology::uniprocessor(0).unwrap(), quiet(), lib);
-        machine.add_process(
-            "app",
-            Box::new(GangScheduler::builder().main_program(main).build()),
-            Some(0),
-        );
-        let report = machine.run().unwrap();
-        assert!(report.total_cycles > Cycles::new(2_000));
     }
 
     /// Builds an open-loop generator: the main shred alternates

@@ -16,14 +16,21 @@
 //!   runtime).
 //! * [`WorkQueue`] — the mutex-protected shred queue, dispatched first-in
 //!   first-out so shreds run in creation order (Figure 3).
-//! * [`SyncTable`] with mutexes, counting semaphores, condition variables,
-//!   events and barriers.
+//! * [`SyncTable`] with mutexes and barriers.
 //! * [`compat`] — the thread-to-shred API mapping tables used to port legacy
 //!   Pthreads/Win32/OpenMP software (the basis of the Table 2 reproduction).
 //!
 //! Shred-local storage, the Thread-Local-Storage equivalent of Section 4.2,
 //! is not modelled: no workload executes a TLS operation.  The [`compat`]
 //! tables still count the `Tls*` calls a port maps to ShredLib.
+//!
+//! Nor are Section 4.2's counting semaphores, condition variables, events,
+//! voluntary yield and explicit shred exit: no workload, scenario or
+//! competitor program executes one.  A shred ends by halting, which
+//! completes its request and wakes its joiners.  The [`compat`] tables still
+//! map the legacy `sem_*`, `pthread_cond_*`, `*Event` and yield calls to
+//! their ShredLib names; Table 2 counts those names and executes none of
+//! them.
 //!
 //! # Examples
 //!
@@ -38,7 +45,7 @@
 //!     .main_program(ProgramRef::new(0))
 //!     .barrier(misp_types::LockId::new(0), 5)
 //!     .build();
-//! assert_eq!(scheduler.contention_events(), 0);
+//! assert_eq!(scheduler.request_table_len(), 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -53,4 +60,4 @@ mod sync;
 pub use gang::{GangScheduler, GangSchedulerBuilder};
 pub use queue::WorkQueue;
 pub use service::{RequestShape, ServiceModel};
-pub use sync::{SyncObject, SyncTable};
+pub use sync::SyncTable;

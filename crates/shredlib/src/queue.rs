@@ -13,8 +13,6 @@ use std::collections::VecDeque;
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct WorkQueue {
     ready: VecDeque<ShredId>,
-    total_enqueued: u64,
-    max_depth: usize,
 }
 
 impl WorkQueue {
@@ -27,8 +25,6 @@ impl WorkQueue {
     /// Adds a ready shred to the queue.
     pub fn push(&mut self, shred: ShredId) {
         self.ready.push_back(shred);
-        self.total_enqueued += 1;
-        self.max_depth = self.max_depth.max(self.ready.len());
     }
 
     /// Removes and returns the oldest waiting shred.
@@ -55,30 +51,6 @@ impl WorkQueue {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ready.is_empty()
-    }
-
-    /// Removes a specific shred from the queue (used when a shred is started
-    /// directly via `SIGNAL` rather than through the queue).  Returns `true`
-    /// if it was present.
-    pub fn remove(&mut self, shred: ShredId) -> bool {
-        if let Some(pos) = self.ready.iter().position(|s| *s == shred) {
-            self.ready.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Total number of shreds ever enqueued.
-    #[must_use]
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued
-    }
-
-    /// The maximum queue depth observed.
-    #[must_use]
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
     }
 }
 
@@ -109,25 +81,11 @@ mod tests {
         for i in 0..3 {
             q.push(s(i));
         }
+        assert_eq!(q.len(), 3);
         while !q.is_empty() {
             let peeked = q.peek();
             assert_eq!(peeked, q.pop());
         }
         assert_eq!(q.peek(), None);
-    }
-
-    #[test]
-    fn statistics_and_remove() {
-        let mut q = WorkQueue::new();
-        q.push(s(0));
-        q.push(s(1));
-        q.push(s(2));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.max_depth(), 3);
-        assert!(q.remove(s(1)));
-        assert!(!q.remove(s(1)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.total_enqueued(), 3);
-        assert!(!q.is_empty());
     }
 }

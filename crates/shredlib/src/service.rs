@@ -405,7 +405,7 @@ impl ServiceState {
     }
 
     /// Marks `shred`, in cursor-slab slot `slot`, as dispatched (idempotent
-    /// for re-dispatch after yield).
+    /// for re-dispatch after the shred blocked and woke).
     pub(crate) fn dispatched(&mut self, shred: ShredId, slot: usize) {
         if let Some(Some(r)) = self.requests.get_mut(slot) {
             if r.shred == shred && !r.started {

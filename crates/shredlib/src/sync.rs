@@ -1,11 +1,16 @@
 //! Shred synchronization objects.
 //!
 //! ShredLib implements the POSIX-style synchronization suite over shared
-//! memory (Section 4.2): mutexes, counting semaphores, condition variables,
-//! events and barriers.  The objects here are *descriptions of waiting
-//! relationships*, not host-level locks — blocking a shred means parking it
-//! until another shred's operation readies it again, at which point the gang
-//! scheduler puts it back on the work queue.
+//! memory (Section 4.2).  The model keeps the two objects the modelled
+//! workloads execute: mutexes and barriers.  Section 4.2's counting
+//! semaphores, condition variables and events are not modelled, because no
+//! workload, scenario or competitor program waits on one; the
+//! [`compat`](crate::compat) tables still map the legacy calls to them.
+//!
+//! The objects here are *descriptions of waiting relationships*, not
+//! host-level locks — blocking a shred means parking it until another
+//! shred's operation readies it again, at which point the gang scheduler
+//! puts it back on the work queue.
 
 use misp_types::{ArenaMap, LockId, MispError, Result, ShredId};
 use std::collections::VecDeque;
@@ -38,31 +43,12 @@ impl SyncOutcome {
 
 /// One synchronization object.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyncObject {
+enum SyncObject {
     /// A mutual-exclusion lock.
     Mutex {
         /// The shred currently holding the mutex.
         holder: Option<ShredId>,
         /// Shreds waiting to acquire it, in arrival order.
-        waiters: VecDeque<ShredId>,
-    },
-    /// A counting semaphore.
-    Semaphore {
-        /// Current count.
-        count: u64,
-        /// Shreds waiting for the count to become positive.
-        waiters: VecDeque<ShredId>,
-    },
-    /// A condition variable; each waiter remembers the mutex it released.
-    CondVar {
-        /// Waiting shreds and the mutex each must re-acquire when woken.
-        waiters: VecDeque<(ShredId, LockId)>,
-    },
-    /// A manual-reset event.
-    Event {
-        /// Whether the event is signaled.
-        signaled: bool,
-        /// Shreds waiting for the event to become signaled.
         waiters: VecDeque<ShredId>,
     },
     /// A barrier for a fixed number of participants.
@@ -71,8 +57,6 @@ pub enum SyncObject {
         parties: usize,
         /// Shreds that have arrived and are waiting.
         arrived: Vec<ShredId>,
-        /// Number of times the barrier has been released (generation count).
-        generations: u64,
     },
 }
 
@@ -84,7 +68,6 @@ pub enum SyncObject {
 #[derive(Debug, Default, Clone)]
 pub struct SyncTable {
     objects: ArenaMap<LockId, SyncObject>,
-    contention_events: u64,
 }
 
 impl SyncTable {
@@ -106,51 +89,8 @@ impl SyncTable {
             SyncObject::Barrier {
                 parties,
                 arrived: Vec::new(),
-                generations: 0,
             },
         );
-    }
-
-    /// Pre-registers a counting semaphore with the given initial count.
-    pub fn create_semaphore(&mut self, id: LockId, initial: u64) {
-        self.objects.insert(
-            id,
-            SyncObject::Semaphore {
-                count: initial,
-                waiters: VecDeque::new(),
-            },
-        );
-    }
-
-    /// Pre-registers an event object.
-    pub fn create_event(&mut self, id: LockId, signaled: bool) {
-        self.objects.insert(
-            id,
-            SyncObject::Event {
-                signaled,
-                waiters: VecDeque::new(),
-            },
-        );
-    }
-
-    /// Number of times a shred had to block because an object was contended.
-    #[must_use]
-    pub fn contention_events(&self) -> u64 {
-        self.contention_events
-    }
-
-    /// The object registered under `id`, if any (primarily for tests and
-    /// introspection).
-    #[must_use]
-    pub fn get(&self, id: LockId) -> Option<&SyncObject> {
-        self.objects.get(id)
-    }
-
-    fn mutex_entry(&mut self, id: LockId) -> &mut SyncObject {
-        self.objects.get_or_insert_with(id, || SyncObject::Mutex {
-            holder: None,
-            waiters: VecDeque::new(),
-        })
     }
 
     /// Acquires mutex `id` for `shred`.
@@ -160,7 +100,11 @@ impl SyncTable {
     /// Returns [`MispError::SynchronizationMisuse`] if `id` names an object of
     /// a different type or the shred already holds the mutex.
     pub fn mutex_lock(&mut self, id: LockId, shred: ShredId) -> Result<SyncOutcome> {
-        match self.mutex_entry(id) {
+        let entry = self.objects.get_or_insert_with(id, || SyncObject::Mutex {
+            holder: None,
+            waiters: VecDeque::new(),
+        });
+        match entry {
             SyncObject::Mutex { holder, waiters } => match holder {
                 None => {
                     *holder = Some(shred);
@@ -171,11 +115,10 @@ impl SyncTable {
                 ))),
                 Some(_) => {
                     waiters.push_back(shred);
-                    self.contention_events += 1;
                     Ok(SyncOutcome::blocked())
                 }
             },
-            _ => Err(MispError::SynchronizationMisuse(format!(
+            SyncObject::Barrier { .. } => Err(MispError::SynchronizationMisuse(format!(
                 "{id} is not a mutex"
             ))),
         }
@@ -210,156 +153,6 @@ impl SyncTable {
         }
     }
 
-    /// Decrements semaphore `id`, blocking `shred` while the count is zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::SynchronizationMisuse`] if `id` is not a
-    /// semaphore.
-    pub fn sem_wait(&mut self, id: LockId, shred: ShredId) -> Result<SyncOutcome> {
-        let entry = self
-            .objects
-            .get_or_insert_with(id, || SyncObject::Semaphore {
-                count: 0,
-                waiters: VecDeque::new(),
-            });
-        match entry {
-            SyncObject::Semaphore { count, waiters } => {
-                if *count > 0 {
-                    *count -= 1;
-                    Ok(SyncOutcome::proceed())
-                } else {
-                    waiters.push_back(shred);
-                    self.contention_events += 1;
-                    Ok(SyncOutcome::blocked())
-                }
-            }
-            _ => Err(MispError::SynchronizationMisuse(format!(
-                "{id} is not a semaphore"
-            ))),
-        }
-    }
-
-    /// Increments semaphore `id`, waking one waiter if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::SynchronizationMisuse`] if `id` is not a
-    /// semaphore.
-    pub fn sem_post(&mut self, id: LockId) -> Result<SyncOutcome> {
-        let entry = self
-            .objects
-            .get_or_insert_with(id, || SyncObject::Semaphore {
-                count: 0,
-                waiters: VecDeque::new(),
-            });
-        match entry {
-            SyncObject::Semaphore { count, waiters } => {
-                if let Some(next) = waiters.pop_front() {
-                    Ok(SyncOutcome::waking(vec![next]))
-                } else {
-                    *count += 1;
-                    Ok(SyncOutcome::proceed())
-                }
-            }
-            _ => Err(MispError::SynchronizationMisuse(format!(
-                "{id} is not a semaphore"
-            ))),
-        }
-    }
-
-    /// Atomically releases `mutex` and waits on condition variable `cond`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::SynchronizationMisuse`] if the mutex is not held
-    /// by `shred` or either identifier names an object of the wrong type.
-    pub fn cond_wait(
-        &mut self,
-        cond: LockId,
-        mutex: LockId,
-        shred: ShredId,
-    ) -> Result<SyncOutcome> {
-        // Release the mutex first; this may wake a mutex waiter.
-        let release = self.mutex_unlock(mutex, shred)?;
-        let entry = self
-            .objects
-            .get_or_insert_with(cond, || SyncObject::CondVar {
-                waiters: VecDeque::new(),
-            });
-        match entry {
-            SyncObject::CondVar { waiters } => {
-                waiters.push_back((shred, mutex));
-                self.contention_events += 1;
-                Ok(SyncOutcome {
-                    block: true,
-                    wake: release.wake,
-                })
-            }
-            _ => Err(MispError::SynchronizationMisuse(format!(
-                "{cond} is not a condition variable"
-            ))),
-        }
-    }
-
-    /// Wakes one waiter of condition variable `cond`.  The woken shred
-    /// re-acquires its mutex before becoming ready; if the mutex is held it
-    /// joins that mutex's wait queue instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::SynchronizationMisuse`] if `cond` is not a
-    /// condition variable.
-    pub fn cond_signal(&mut self, cond: LockId) -> Result<SyncOutcome> {
-        self.cond_wake(cond, false)
-    }
-
-    /// Wakes all waiters of condition variable `cond`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::SynchronizationMisuse`] if `cond` is not a
-    /// condition variable.
-    pub fn cond_broadcast(&mut self, cond: LockId) -> Result<SyncOutcome> {
-        self.cond_wake(cond, true)
-    }
-
-    fn cond_wake(&mut self, cond: LockId, all: bool) -> Result<SyncOutcome> {
-        let woken: Vec<(ShredId, LockId)> = match self.objects.get_mut(cond) {
-            Some(SyncObject::CondVar { waiters }) => {
-                if all {
-                    waiters.drain(..).collect()
-                } else {
-                    waiters.pop_front().into_iter().collect()
-                }
-            }
-            None => Vec::new(), // signaling a never-waited condvar is a no-op
-            Some(_) => {
-                return Err(MispError::SynchronizationMisuse(format!(
-                    "{cond} is not a condition variable"
-                )))
-            }
-        };
-        let mut ready = Vec::new();
-        for (shred, mutex) in woken {
-            match self.mutex_entry(mutex) {
-                SyncObject::Mutex { holder, waiters } => match holder {
-                    None => {
-                        *holder = Some(shred);
-                        ready.push(shred);
-                    }
-                    Some(_) => waiters.push_back(shred),
-                },
-                _ => {
-                    return Err(MispError::SynchronizationMisuse(format!(
-                        "{mutex} is not a mutex"
-                    )))
-                }
-            }
-        }
-        Ok(SyncOutcome::waking(ready))
-    }
-
     /// Arrives at barrier `id`.  The last arriving shred releases everyone.
     ///
     /// # Errors
@@ -368,91 +161,19 @@ impl SyncTable {
     /// created with [`SyncTable::create_barrier`] or `id` is not a barrier.
     pub fn barrier_wait(&mut self, id: LockId, shred: ShredId) -> Result<SyncOutcome> {
         match self.objects.get_mut(id) {
-            Some(SyncObject::Barrier {
-                parties,
-                arrived,
-                generations,
-            }) => {
+            Some(SyncObject::Barrier { parties, arrived }) => {
                 if arrived.len() + 1 == *parties {
-                    let wake = std::mem::take(arrived);
-                    *generations += 1;
-                    Ok(SyncOutcome::waking(wake))
+                    Ok(SyncOutcome::waking(std::mem::take(arrived)))
                 } else {
                     arrived.push(shred);
-                    self.contention_events += 1;
                     Ok(SyncOutcome::blocked())
                 }
             }
-            Some(_) => Err(MispError::SynchronizationMisuse(format!(
+            Some(SyncObject::Mutex { .. }) => Err(MispError::SynchronizationMisuse(format!(
                 "{id} is not a barrier"
             ))),
             None => Err(MispError::SynchronizationMisuse(format!(
                 "barrier {id} was never created"
-            ))),
-        }
-    }
-
-    /// Waits for event `id` to become signaled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::SynchronizationMisuse`] if `id` is not an event.
-    pub fn event_wait(&mut self, id: LockId, shred: ShredId) -> Result<SyncOutcome> {
-        let entry = self.objects.get_or_insert_with(id, || SyncObject::Event {
-            signaled: false,
-            waiters: VecDeque::new(),
-        });
-        match entry {
-            SyncObject::Event { signaled, waiters } => {
-                if *signaled {
-                    Ok(SyncOutcome::proceed())
-                } else {
-                    waiters.push_back(shred);
-                    self.contention_events += 1;
-                    Ok(SyncOutcome::blocked())
-                }
-            }
-            _ => Err(MispError::SynchronizationMisuse(format!(
-                "{id} is not an event"
-            ))),
-        }
-    }
-
-    /// Signals event `id`, waking every waiter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::SynchronizationMisuse`] if `id` is not an event.
-    pub fn event_set(&mut self, id: LockId) -> Result<SyncOutcome> {
-        let entry = self.objects.get_or_insert_with(id, || SyncObject::Event {
-            signaled: false,
-            waiters: VecDeque::new(),
-        });
-        match entry {
-            SyncObject::Event { signaled, waiters } => {
-                *signaled = true;
-                Ok(SyncOutcome::waking(waiters.drain(..).collect()))
-            }
-            _ => Err(MispError::SynchronizationMisuse(format!(
-                "{id} is not an event"
-            ))),
-        }
-    }
-
-    /// Resets event `id` to the non-signaled state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MispError::SynchronizationMisuse`] if `id` is not an event.
-    pub fn event_reset(&mut self, id: LockId) -> Result<SyncOutcome> {
-        match self.objects.get_mut(id) {
-            Some(SyncObject::Event { signaled, .. }) => {
-                *signaled = false;
-                Ok(SyncOutcome::proceed())
-            }
-            None => Ok(SyncOutcome::proceed()),
-            Some(_) => Err(MispError::SynchronizationMisuse(format!(
-                "{id} is not an event"
             ))),
         }
     }
@@ -476,7 +197,6 @@ mod tests {
         assert!(!out.block);
         let out = t.mutex_unlock(l(0), s(0)).unwrap();
         assert!(out.wake.is_empty());
-        assert_eq!(t.contention_events(), 0);
     }
 
     #[test]
@@ -491,7 +211,6 @@ mod tests {
         // s1 now holds it; s1 unlocking wakes s2.
         let out = t.mutex_unlock(l(0), s(1)).unwrap();
         assert_eq!(out.wake, vec![s(2)]);
-        assert_eq!(t.contention_events(), 2);
     }
 
     #[test]
@@ -500,62 +219,9 @@ mod tests {
         t.mutex_lock(l(0), s(0)).unwrap();
         assert!(t.mutex_lock(l(0), s(0)).is_err(), "recursive lock");
         assert!(t.mutex_unlock(l(0), s(1)).is_err(), "unlock by non-holder");
-        t.create_semaphore(l(1), 0);
+        t.create_barrier(l(1), 2);
         assert!(t.mutex_lock(l(1), s(0)).is_err(), "type confusion");
-    }
-
-    #[test]
-    fn semaphore_counts_and_wakes() {
-        let mut t = SyncTable::new();
-        t.create_semaphore(l(0), 1);
-        assert!(!t.sem_wait(l(0), s(0)).unwrap().block);
-        assert!(t.sem_wait(l(0), s(1)).unwrap().block);
-        let out = t.sem_post(l(0)).unwrap();
-        assert_eq!(out.wake, vec![s(1)]);
-        // Post with no waiters increments the count.
-        t.sem_post(l(0)).unwrap();
-        assert!(!t.sem_wait(l(0), s(2)).unwrap().block);
-    }
-
-    #[test]
-    fn condvar_wait_releases_mutex_and_signal_reacquires() {
-        let mut t = SyncTable::new();
-        let m = l(0);
-        let c = l(1);
-        t.mutex_lock(m, s(0)).unwrap();
-        t.mutex_lock(m, s(1)).unwrap(); // s1 waits for the mutex
-        let out = t.cond_wait(c, m, s(0)).unwrap();
-        assert!(out.block);
-        assert_eq!(out.wake, vec![s(1)], "releasing the mutex wakes its waiter");
-        // Signal: s0 must re-acquire the mutex, which s1 still holds, so no
-        // one becomes ready yet.
-        let out = t.cond_signal(c).unwrap();
-        assert!(out.wake.is_empty());
-        // When s1 unlocks, s0 gets the mutex and becomes ready.
-        let out = t.mutex_unlock(m, s(1)).unwrap();
-        assert_eq!(out.wake, vec![s(0)]);
-    }
-
-    #[test]
-    fn cond_broadcast_wakes_all_eventually() {
-        let mut t = SyncTable::new();
-        let m = l(0);
-        let c = l(1);
-        for i in 0..3 {
-            t.mutex_lock(m, s(i)).unwrap();
-            if i == 0 {
-                t.cond_wait(c, m, s(0)).unwrap();
-            }
-        }
-        // s0 waits on c; s1 holds the mutex; s2 waits for the mutex.
-        t.cond_wait(c, m, s(1)).unwrap(); // s1 releases, s2 acquires
-        let out = t.cond_broadcast(c).unwrap();
-        // Mutex is held by s2, so the broadcast readies no one immediately.
-        assert!(out.wake.is_empty());
-        let out = t.mutex_unlock(m, s(2)).unwrap();
-        assert_eq!(out.wake.len(), 1);
-        // Signaling an unknown condvar is a harmless no-op.
-        assert!(t.cond_signal(l(9)).unwrap().wake.is_empty());
+        assert!(t.barrier_wait(l(0), s(0)).is_err(), "type confusion");
     }
 
     #[test]
@@ -575,19 +241,6 @@ mod tests {
     fn barrier_must_be_created() {
         let mut t = SyncTable::new();
         assert!(t.barrier_wait(l(5), s(0)).is_err());
-    }
-
-    #[test]
-    fn events_are_manual_reset() {
-        let mut t = SyncTable::new();
-        assert!(t.event_wait(l(0), s(0)).unwrap().block);
-        assert!(t.event_wait(l(0), s(1)).unwrap().block);
-        let out = t.event_set(l(0)).unwrap();
-        assert_eq!(out.wake, vec![s(0), s(1)]);
-        // Once signaled, waits pass through.
-        assert!(!t.event_wait(l(0), s(2)).unwrap().block);
-        t.event_reset(l(0)).unwrap();
-        assert!(t.event_wait(l(0), s(3)).unwrap().block);
     }
 
     #[test]

@@ -506,6 +506,18 @@ impl<P: Platform> Machine<P> {
             }
         }
         self.core.stats_mut().service = service;
+        // One count per fact: the counters that mirror an event kind are
+        // read from the log's tally, not kept beside it.
+        let log = self.core.log();
+        let (signals, proxies, switches) = (
+            log.count(TraceKind::SignalSent),
+            log.count(TraceKind::ProxyRequest),
+            log.count(TraceKind::ContextSwitch),
+        );
+        let stats = self.core.stats_mut();
+        stats.signals_sent = signals;
+        stats.proxy_executions = proxies;
+        stats.context_switches = switches;
         let stats = self.core.stats().clone();
         let completions: BTreeMap<u32, Cycles> = self
             .measured_list
@@ -677,7 +689,6 @@ impl<P: Platform> Machine<P> {
                     target,
                     continuation,
                 } => {
-                    self.core.stats_mut().signals_sent += 1;
                     self.core.log_event(seq, TraceKind::SignalSent);
                     let resume =
                         self.platform
@@ -714,29 +725,6 @@ impl<P: Platform> Machine<P> {
                                 now + install_cost + cost + shred_context_switch,
                             );
                             false
-                        }
-                        RuntimeOutcome::Yield { cost } => {
-                            if let Some(mut s) = self.core.shred_mut(shred_id) {
-                                if s.status() == ShredStatus::Running {
-                                    s.set_status(ShredStatus::Ready);
-                                }
-                            }
-                            self.core.sequencers_mut().set_current_shred(seq, None);
-                            self.core.schedule_ready(
-                                seq,
-                                now + install_cost + cost + shred_context_switch,
-                            );
-                            false
-                        }
-                        RuntimeOutcome::Exit { cost } => {
-                            self.core.finish_shred(shred_id);
-                            self.core.log_event(seq, TraceKind::ShredEnd);
-                            self.core.sequencers_mut().set_current_shred(seq, None);
-                            self.core.schedule_ready(
-                                seq,
-                                now + install_cost + cost + shred_context_switch,
-                            );
-                            true
                         }
                     });
                 }

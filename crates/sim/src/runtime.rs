@@ -20,18 +20,6 @@ pub enum RuntimeOutcome {
         /// User-level cycles charged before blocking.
         cost: Cycles,
     },
-    /// The shred voluntarily yielded; the runtime has already re-queued it and
-    /// the sequencer will ask for the next shred after `cost` cycles.
-    Yield {
-        /// User-level cycles charged for the yield.
-        cost: Cycles,
-    },
-    /// The shred exited; the sequencer will ask for other work after `cost`
-    /// cycles.
-    Exit {
-        /// User-level cycles charged for the exit path.
-        cost: Cycles,
-    },
 }
 
 /// A user-level scheduling runtime (the role ShredLib plays in the paper).
@@ -93,8 +81,8 @@ pub trait Runtime: std::fmt::Debug {
 ///
 /// It is used for the single-threaded "competing processes" of the Figure 7
 /// multi-programming experiment and as a light-weight runtime for unit tests.
-/// Runtime operations other than `ShredExit`/`ShredYield` are not supported
-/// (programs for this runtime should not use synchronization).
+/// It supports no runtime operation: a program for this runtime creates,
+/// joins and synchronizes with no other shred, and ends by halting.
 #[derive(Debug)]
 pub struct SingleShredRuntime {
     program: ProgramRef,
@@ -153,11 +141,7 @@ impl Runtime for SingleShredRuntime {
         op: &RuntimeOp,
         _now: Cycles,
     ) -> RuntimeOutcome {
-        match op {
-            RuntimeOp::ShredExit => RuntimeOutcome::Exit { cost: Cycles::ZERO },
-            RuntimeOp::ShredYield => RuntimeOutcome::Continue { cost: Cycles::ZERO },
-            other => panic!("SingleShredRuntime does not support runtime op `{other}`"),
-        }
+        panic!("SingleShredRuntime does not support runtime op `{op}`")
     }
 
     fn on_shred_halt(

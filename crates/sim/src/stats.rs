@@ -70,14 +70,18 @@ pub struct SimStats {
     /// Privileged events that originated on an application-managed sequencer
     /// and therefore required proxy execution.
     pub ams_events: OsEventCounts,
-    /// Number of proxy-execution episodes performed by OMSs.
+    /// Number of proxy-execution episodes performed by OMSs: the event
+    /// log's `ProxyRequest` tally, copied when the report is assembled.
     pub proxy_executions: u64,
     /// Number of serialization episodes (OMS Ring 0 entries that suspended
     /// AMSs).
     pub serializations: u64,
-    /// Number of OS thread context switches.
+    /// Number of OS thread context switches: the event log's
+    /// `ContextSwitch` tally, copied when the report is assembled.
     pub context_switches: u64,
-    /// Number of user-level `SIGNAL` instructions executed.
+    /// Number of user-level `SIGNAL` instructions executed, delivered or
+    /// dropped: the event log's `SignalSent` tally, copied when the report
+    /// is assembled.
     pub signals_sent: u64,
     /// Total cycles of AMS execution lost to suspension, summed over AMSs.
     pub suspension_cycles: Cycles,

@@ -138,7 +138,6 @@ impl Platform for SmpPlatform {
 
         if let Some((prev, next)) = switch {
             priv_time += core.kernel().context_switch_cost(0);
-            core.stats_mut().context_switches += 1;
             core.log_event(cpu, TraceKind::ContextSwitch);
             let ctx = core.save_context(cpu, now);
             // Cold-cache restart for the incoming thread (no-op while the

@@ -105,7 +105,7 @@ id_type!(
 
 id_type!(
     /// Identifies a user-level synchronization object managed by ShredLib
-    /// (mutex, semaphore, condition variable, event or barrier).
+    /// (a mutex or a barrier).
     LockId,
     "LCK"
 );

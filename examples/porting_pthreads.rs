@@ -1,11 +1,12 @@
 //! Porting a legacy Pthreads application to shreds (the Table 2 workflow).
 //!
 //! A legacy producer/consumer program written against Pthreads is (1) analysed
-//! with ShredLib's thread-to-shred compatibility mapping, then (2) expressed
-//! as the equivalent shredded program and executed on a MISP processor,
-//! demonstrating that the mapping is a mechanical translation: every Pthreads
-//! call has a ShredLib counterpart that the runtime implements with ordinary
-//! Ring 3 operations.
+//! with ShredLib's thread-to-shred compatibility mapping, which names a
+//! ShredLib counterpart for every Pthreads call, then (2) ported to a shredded
+//! program and executed on a MISP processor.  The simulated ShredLib executes
+//! shred creation, mutexes and barriers, so the port replaces the buffer's
+//! semaphores with a barrier between rounds; every operation it runs is an
+//! ordinary Ring 3 operation.
 //!
 //! Run with `cargo run --release --example porting_pthreads`.
 
@@ -47,39 +48,48 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Step 2: the same program, expressed with shreds and executed.
-    // A bounded buffer of capacity 4 is modeled with two counting
-    // semaphores (slots/items) and a mutex, exactly as the Pthreads
-    // original would do.
+    // ShredLib's model executes mutexes and barriers, so the bounded buffer
+    // of capacity 4 runs in rounds: the producer fills it under the mutex,
+    // the consumers drain it under the mutex, and two barriers per round
+    // ("filled", "drained") take the place of the slots/items semaphores.
     // ------------------------------------------------------------------
-    let slots = LockId::new(10); // initialized to the buffer capacity
-    let items = LockId::new(11); // initialized to zero
-    let buffer_mutex = LockId::new(12);
+    let buffer_mutex = LockId::new(10);
+    let filled = LockId::new(11);
+    let drained = LockId::new(12);
     let done_barrier = LockId::new(13);
-    const ITEMS: u64 = 200;
+    const CAPACITY: u64 = 4;
+    const CONSUMERS: u64 = 2;
+    const ROUNDS: u64 = 50; // 200 items in all
 
     let mut library = ProgramLibrary::new();
     let producer = library.insert(
         ProgramBuilder::new("producer")
-            .repeat(ITEMS, |item| {
-                item.sem_wait(slots)
-                    .mutex_lock(buffer_mutex)
-                    .compute(Cycles::new(2_000)) // produce into the buffer
-                    .mutex_unlock(buffer_mutex)
-                    .sem_post(items)
-                    .compute(Cycles::new(20_000)) // prepare the next item
+            .repeat(ROUNDS, |round| {
+                round
+                    .repeat(CAPACITY, |item| {
+                        item.mutex_lock(buffer_mutex)
+                            .compute(Cycles::new(2_000)) // produce into the buffer
+                            .mutex_unlock(buffer_mutex)
+                            .compute(Cycles::new(20_000)) // prepare the next item
+                    })
+                    .barrier_wait(filled) // was: sem_post(items) x4
+                    .barrier_wait(drained) // was: sem_wait(slots) x4
             })
             .barrier_wait(done_barrier)
             .build(),
     );
     let consumer = library.insert(
         ProgramBuilder::new("consumer")
-            .repeat(ITEMS / 2, |item| {
-                item.sem_wait(items)
-                    .mutex_lock(buffer_mutex)
-                    .compute(Cycles::new(2_000)) // remove from the buffer
-                    .mutex_unlock(buffer_mutex)
-                    .sem_post(slots)
-                    .compute(Cycles::new(35_000)) // consume the item
+            .repeat(ROUNDS, |round| {
+                round
+                    .barrier_wait(filled) // was: sem_wait(items)
+                    .repeat(CAPACITY / CONSUMERS, |item| {
+                        item.mutex_lock(buffer_mutex)
+                            .compute(Cycles::new(2_000)) // remove from the buffer
+                            .mutex_unlock(buffer_mutex)
+                            .compute(Cycles::new(35_000)) // consume the item
+                    })
+                    .barrier_wait(drained) // was: sem_post(slots)
             })
             .barrier_wait(done_barrier)
             .build(),
@@ -94,11 +104,12 @@ fn main() {
             .build(),
     );
 
+    let parties = 1 + CONSUMERS as usize;
     let scheduler = GangScheduler::builder()
         .main_program(main)
-        .semaphore(slots, 4)
-        .semaphore(items, 0)
-        .barrier(done_barrier, 4)
+        .barrier(filled, parties)
+        .barrier(drained, parties)
+        .barrier(done_barrier, parties + 1)
         .build();
 
     let topology = MispTopology::uniprocessor(3).expect("valid topology");

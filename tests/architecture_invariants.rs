@@ -1,12 +1,16 @@
 //! Cross-crate integration tests: the architectural invariants the MISP paper
 //! relies on, checked end-to-end through the facade crate.
 
-use misp::core::{MispTopology, OverheadModel};
+use misp::core::{MispMachine, MispTopology, OverheadModel};
+use misp::isa::ProgramLibrary;
 use misp::mem::AccessPattern;
 use misp::os::TimerConfig;
-use misp::sim::SimConfig;
+use misp::sim::{EventLog, SimConfig, SimReport, TraceKind};
+use misp::smp::SmpMachine;
 use misp::types::{CostModel, Cycles, SignalCost};
-use misp::workloads::{LocalityProfile, Machine, Run, RunOptions, Suite, Workload, WorkloadParams};
+use misp::workloads::{
+    catalog, competitor, LocalityProfile, Machine, Run, RunOptions, Suite, Workload, WorkloadParams,
+};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -195,6 +199,83 @@ fn pretouch_moves_faults_from_ams_to_oms() {
     assert_eq!(
         total_base, total_pre,
         "pre-touching must not change the fault total"
+    );
+}
+
+/// Each `SimStats` counter that mirrors one event-log kind equals that
+/// kind's tally in the log of the run that produced it.
+fn assert_counters_match_log(report: &SimReport, log: &EventLog, context: &str) {
+    let stats = &report.stats;
+    for (counter, kind) in [
+        (stats.signals_sent, TraceKind::SignalSent),
+        (stats.proxy_executions, TraceKind::ProxyRequest),
+        (stats.context_switches, TraceKind::ContextSwitch),
+    ] {
+        assert_eq!(
+            counter,
+            log.count(kind),
+            "{context}: counter vs {kind:?} tally"
+        );
+    }
+}
+
+/// Runs `workload` with 8 workers on a MISP machine, with one
+/// single-threaded competitor on processor 0 if `competitor` is set, checks
+/// the counters against the machine's event log, and returns the number of
+/// context switches.
+fn check_misp_counters(workload: &Workload, topology: MispTopology, competitor: bool) -> u64 {
+    let mut library = ProgramLibrary::new();
+    let scheduler = workload.build(&mut library, 8);
+    let rival = competitor.then(|| competitor::competitor_program(&mut library, 0, 2_000_000_000));
+    let processors = topology.processors().len();
+    let mut machine = MispMachine::new(topology, config(), library);
+    let pid = machine.add_process(workload.name(), Box::new(scheduler), Some(0));
+    for proc_idx in 1..processors {
+        machine.add_thread(pid, Some(proc_idx));
+    }
+    if let Some(program) = rival {
+        let runtime = Box::new(competitor::competitor_runtime(program));
+        machine.add_process("competitor", runtime, Some(0));
+        machine.set_measured(vec![pid]);
+    }
+    let report = machine.run().unwrap();
+    let context = format!(
+        "{} on MISP {processors}P, competitor {competitor}",
+        workload.name()
+    );
+    assert_counters_match_log(&report, machine.engine().core().log(), &context);
+    report.stats.context_switches
+}
+
+/// `signals_sent`, `proxy_executions` and `context_switches` count the same
+/// facts as the log's `SignalSent`, `ProxyRequest` and `ContextSwitch`
+/// records, for every catalog workload on MISP 1+7, SMP 8 and one
+/// sequencer, and under multiprogramming, where context switches happen.
+#[test]
+fn stats_counters_equal_their_event_log_tallies() {
+    for workload in catalog::all() {
+        check_misp_counters(&workload, MispTopology::uniprocessor(7).unwrap(), false);
+        check_misp_counters(&workload, MispTopology::uniprocessor(0).unwrap(), false);
+
+        let mut library = ProgramLibrary::new();
+        let scheduler = workload.build(&mut library, 8);
+        let mut smp = SmpMachine::new(8, config(), library);
+        let pid = smp.add_process(workload.name(), Box::new(scheduler), Some(0));
+        for core in 1..8 {
+            smp.add_thread(pid, Some(core));
+        }
+        let report = smp.run().unwrap();
+        let context = format!("{} on SMP 8", workload.name());
+        assert_counters_match_log(&report, smp.engine().core().log(), &context);
+    }
+    let switches = check_misp_counters(
+        &small_workload(),
+        MispTopology::uniprocessor(7).unwrap(),
+        true,
+    );
+    assert!(
+        switches > 0,
+        "a competitor on the same processor forces context switches"
     );
 }
 

@@ -4,8 +4,9 @@
 //! mutex + work-queue + barrier pattern every shredded workload uses: each
 //! shred repeatedly acquires the mutex, completes one chunk of work,
 //! releases, and finally arrives at the barrier.  The schedule — which ready
-//! shred runs next, and whether it is taken in FIFO order or stolen from
-//! the middle of the queue — is randomized per case.  For every schedule:
+//! shred runs next, the oldest or an arbitrary one brought to the head by a
+//! random rotation of the queue — is randomized per case.  For every
+//! schedule:
 //!
 //! * the system terminates (no deadlock, no livelock) within a step bound,
 //! * completed-chunk counts are conserved (every shred did exactly its
@@ -16,6 +17,7 @@
 use misp::shredlib::{SyncTable, WorkQueue};
 use misp::types::{LockId, ShredId};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 const MUTEX: LockId = LockId::new(0);
 const BARRIER: LockId = LockId::new(1);
@@ -56,9 +58,12 @@ impl Rng {
 struct Executor {
     table: SyncTable,
     queue: WorkQueue,
-    /// Mirror of the queue contents, so the schedule can pick an arbitrary
-    /// victim and exercise `WorkQueue::remove`.
-    ready: Vec<ShredId>,
+    /// Mirror of the queue contents, checked against every pop.
+    ready: VecDeque<ShredId>,
+    /// Ready shreds handed to the queue (rotations not counted).
+    enqueued: u64,
+    /// The deepest the queue has been.
+    max_depth: usize,
     phase: Vec<Phase>,
     chunks_left: Vec<u64>,
     completed_chunks: u64,
@@ -69,51 +74,58 @@ impl Executor {
     fn new(shreds: usize, chunks: u64) -> Self {
         let mut table = SyncTable::new();
         table.create_barrier(BARRIER, shreds);
-        let mut queue = WorkQueue::new();
-        let mut ready = Vec::new();
-        for i in 0..shreds {
-            let id = ShredId::new(i as u32);
-            queue.push(id);
-            ready.push(id);
-        }
-        Executor {
+        let mut executor = Executor {
             table,
-            queue,
-            ready,
+            queue: WorkQueue::new(),
+            ready: VecDeque::new(),
+            enqueued: 0,
+            max_depth: 0,
             phase: vec![Phase::NeedLock; shreds],
             chunks_left: vec![chunks; shreds],
             completed_chunks: 0,
             barrier_releases: 0,
+        };
+        for i in 0..shreds {
+            executor.enqueue(ShredId::new(i as u32));
         }
+        executor
     }
 
     fn enqueue(&mut self, shred: ShredId) {
         self.queue.push(shred);
-        self.ready.push(shred);
+        self.ready.push_back(shred);
+        self.enqueued += 1;
+        self.max_depth = self.max_depth.max(self.ready.len());
     }
 
-    /// Picks the next shred: usually in queue (FIFO) order, sometimes an
-    /// arbitrary victim removed from the middle (a stolen continuation).
+    /// Picks the next shred: usually the oldest, sometimes an arbitrary one
+    /// brought to the head by rotating the queue (heads popped and pushed
+    /// back).
     fn pick(&mut self, rng: &mut Rng) -> Option<ShredId> {
         if self.ready.is_empty() {
             assert!(self.queue.is_empty(), "mirror diverged from the queue");
             return None;
         }
-        let shred = if rng.below(4) == 0 {
-            let victim = self.ready[rng.below(self.ready.len())];
-            assert!(self.queue.remove(victim), "victim was in the queue");
-            victim
-        } else {
-            self.queue
-                .pop()
-                .expect("mirror says the queue is non-empty")
-        };
-        let position = self
-            .ready
-            .iter()
-            .position(|s| *s == shred)
-            .expect("popped shred is mirrored");
-        self.ready.remove(position);
+        if rng.below(4) == 0 {
+            let turns = rng.below(self.ready.len());
+            for _ in 0..turns {
+                let head = self
+                    .queue
+                    .pop()
+                    .expect("mirror says the queue is non-empty");
+                self.queue.push(head);
+            }
+            self.ready.rotate_left(turns);
+        }
+        let shred = self
+            .queue
+            .pop()
+            .expect("mirror says the queue is non-empty");
+        assert_eq!(
+            self.ready.pop_front(),
+            Some(shred),
+            "mirror diverged from the queue"
+        );
         Some(shred)
     }
 
@@ -224,13 +236,13 @@ proptest! {
         while let Some(shred) = executor.pick(&mut rng) {
             executor.step(shred);
         }
-        prop_assert!(executor.queue.max_depth() <= shreds);
+        prop_assert!(executor.max_depth <= shreds);
         // Every shred is enqueued once at start, once per lock acquisition
         // that did not block plus once per wake, and once per unlock —
         // whatever the schedule, the total must match what the mutex
         // actually admitted: one grant per chunk.
         let grants = shreds as u64 * chunks;
-        prop_assert_eq!(executor.queue.total_enqueued(), shreds as u64 + 2 * grants);
+        prop_assert_eq!(executor.enqueued, shreds as u64 + 2 * grants);
         prop_assert_eq!(executor.completed_chunks, grants);
     }
 }
