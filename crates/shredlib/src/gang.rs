@@ -4,7 +4,7 @@ use crate::service::{Admission, ServiceState};
 use crate::{ServiceModel, SyncTable, WorkQueue};
 use misp_isa::{ProgramRef, RuntimeOp, ShredProgram};
 use misp_sim::{EngineCore, Runtime, RuntimeOutcome, ShredStatus};
-use misp_types::{ArenaMap, Cycles, LockId, OsThreadId, ProcessId, SequencerId, ShredId};
+use misp_types::{ArenaMap, Cycles, LockId, OsThreadId, ProcessId, Result, SequencerId, ShredId};
 use std::sync::Arc;
 
 /// Builder for [`GangScheduler`].
@@ -247,9 +247,9 @@ impl Runtime for GangScheduler {
         shred: ShredId,
         op: &RuntimeOp,
         now: Cycles,
-    ) -> RuntimeOutcome {
+    ) -> Result<RuntimeOutcome> {
         let lock_cost = core.costs().queue_lock;
-        match op {
+        Ok(match op {
             RuntimeOp::ShredCreate { program } => {
                 // Under a service model the create is an admission decision:
                 // a full bounded queue drops the request without a shred.
@@ -261,7 +261,7 @@ impl Runtime for GangScheduler {
                     self.continue_generator(core, shred, *program);
                 }
                 if admission == Admission::Drop {
-                    return RuntimeOutcome::Continue { cost: lock_cost };
+                    return Ok(RuntimeOutcome::Continue { cost: lock_cost });
                 }
                 let thread = core
                     .shred(shred)
@@ -295,15 +295,15 @@ impl Runtime for GangScheduler {
                 }
             }
             RuntimeOp::MutexLock(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.mutex_lock(*id, shred))
+                self.apply_sync(core, now, lock_cost, |sync| sync.mutex_lock(*id, shred))?
             }
             RuntimeOp::MutexUnlock(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.mutex_unlock(*id, shred))
+                self.apply_sync(core, now, lock_cost, |sync| sync.mutex_unlock(*id, shred))?
             }
             RuntimeOp::BarrierWait(id) => {
-                self.apply_sync(core, now, lock_cost, |sync| sync.barrier_wait(*id, shred))
+                self.apply_sync(core, now, lock_cost, |sync| sync.barrier_wait(*id, shred))?
             }
-        }
+        })
     }
 
     fn on_shred_halt(
@@ -378,21 +378,27 @@ impl GangScheduler {
         }
     }
 
+    /// Applies one synchronization operation and readies the shreds it
+    /// wakes.
+    ///
+    /// # Errors
+    ///
+    /// The [`MispError::SynchronizationMisuse`](misp_types::MispError) the
+    /// sync table reports, such as unlocking a mutex the shred does not hold.
     fn apply_sync(
         &mut self,
         core: &mut EngineCore,
         now: Cycles,
         cost: Cycles,
-        f: impl FnOnce(&mut SyncTable) -> misp_types::Result<crate::sync::SyncOutcome>,
-    ) -> RuntimeOutcome {
-        let outcome = f(&mut self.sync)
-            .unwrap_or_else(|e| panic!("synchronization misuse in simulated program: {e}"));
+        f: impl FnOnce(&mut SyncTable) -> Result<crate::sync::SyncOutcome>,
+    ) -> Result<RuntimeOutcome> {
+        let outcome = f(&mut self.sync)?;
         self.make_ready(core, &outcome.wake, now);
-        if outcome.block {
+        Ok(if outcome.block {
             RuntimeOutcome::Block { cost }
         } else {
             RuntimeOutcome::Continue { cost }
-        }
+        })
     }
 }
 

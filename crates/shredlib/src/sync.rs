@@ -147,7 +147,12 @@ impl SyncTable {
                     Ok(SyncOutcome::proceed())
                 }
             }
-            _ => Err(MispError::SynchronizationMisuse(format!(
+            // A mutex comes into being at its first lock, so an id nobody
+            // ever locked is a mutex no shred holds.
+            None => Err(MispError::SynchronizationMisuse(format!(
+                "shred {shred} released mutex {id} it does not hold"
+            ))),
+            Some(SyncObject::Barrier { .. }) => Err(MispError::SynchronizationMisuse(format!(
                 "{id} is not a mutex"
             ))),
         }
@@ -222,6 +227,28 @@ mod tests {
         t.create_barrier(l(1), 2);
         assert!(t.mutex_lock(l(1), s(0)).is_err(), "type confusion");
         assert!(t.barrier_wait(l(0), s(0)).is_err(), "type confusion");
+    }
+
+    /// Unlocking an id that was never locked is an unlock of a mutex the
+    /// shred does not hold, not a type confusion.
+    #[test]
+    fn unlocking_a_never_locked_mutex_names_the_missing_hold() {
+        let mut t = SyncTable::new();
+        let err = t.mutex_unlock(l(3), s(1)).unwrap_err();
+        assert_eq!(
+            err,
+            MispError::SynchronizationMisuse(format!(
+                "shred {} released mutex {} it does not hold",
+                s(1),
+                l(3)
+            ))
+        );
+        t.create_barrier(l(4), 2);
+        let err = t.mutex_unlock(l(4), s(1)).unwrap_err();
+        assert_eq!(
+            err,
+            MispError::SynchronizationMisuse(format!("{} is not a mutex", l(4)))
+        );
     }
 
     #[test]

@@ -319,9 +319,24 @@ impl EngineCore {
         self.queue.push(at, Event::SeqReady { seq, generation });
     }
 
-    /// Schedules a timer tick for the OS-visible CPU `cpu` at `at`.
+    /// Schedules a timer tick for the OS-visible CPU `cpu` at `at`.  With
+    /// [`SimConfig::batch`] on, a tick for the same instant as the previous
+    /// one shares its queue entry (see [`EventQueue::push_tick`]).
     pub fn schedule_timer(&mut self, cpu: SequencerId, at: Cycles, tick: u64) {
-        self.queue.push(at, Event::TimerTick { cpu, tick });
+        if self.config.batch {
+            self.queue.push_tick(at, cpu, tick);
+        } else {
+            self.queue.push(at, Event::TimerTick { cpu, tick });
+        }
+    }
+
+    /// Drops the queued `SeqReady` of `seq`, whose generation was just
+    /// bumped without a successor being scheduled: with [`SimConfig::batch`]
+    /// on, the stale event leaves the queue instead of popping as a no-op.
+    fn cancel_stale_ready(&mut self, seq: SequencerId) {
+        if self.config.batch {
+            self.queue.cancel_ready(seq);
+        }
     }
 
     /// Wakes `seq` at time `now` if it is idle (no shred installed, not
@@ -352,6 +367,7 @@ impl EngineCore {
     pub fn suspend(&mut self, seq: SequencerId, now: Cycles) {
         if !self.sequencers.is_suspended(seq) {
             self.sequencers.suspend(seq, now);
+            self.cancel_stale_ready(seq);
             self.log.record(now, seq, TraceKind::Suspend);
         }
         self.sequencers.set_stall_end(seq, None);
@@ -415,7 +431,11 @@ impl EngineCore {
         }
 
         self.open_stall_window(seq, now, until);
-        self.queue.push(until, Event::StallEnd { seq });
+        if self.config.batch {
+            self.queue.push_stall_end(until, seq);
+        } else {
+            self.queue.push(until, Event::StallEnd { seq });
+        }
     }
 
     /// Opens a fresh stall window on a non-suspended sequencer: suspends it
@@ -427,6 +447,7 @@ impl EngineCore {
     /// byte-identical.
     fn open_stall_window(&mut self, seq: SequencerId, now: Cycles, until: Cycles) {
         self.sequencers.suspend(seq, now);
+        self.cancel_stale_ready(seq);
         self.sequencers.set_stall_end(seq, Some(until));
         let lost = until - now;
         self.sequencers.add_stalled(seq, lost);
@@ -565,6 +586,7 @@ impl EngineCore {
         self.sequencers.set_current_shred(seq, None);
         self.sequencers.set_pending(seq, None);
         self.sequencers.bump_generation(seq);
+        self.cancel_stale_ready(seq);
         ctx
     }
 
@@ -722,6 +744,32 @@ mod tests {
             ..SimConfig::default()
         };
         EngineCore::new(config, 1, lib)
+    }
+
+    /// With batching on, same-instant ticks and stall ends of ascending
+    /// sequencers share queue entries and a suspension drops the stale
+    /// `SeqReady`; with batching off every push is an entry of its own and
+    /// the stale event stays queued, as the event-per-operation reference
+    /// loop expects.
+    #[test]
+    fn only_the_batched_queue_coalesces_and_cancels() {
+        for batch in [true, false] {
+            let config = SimConfig {
+                batch,
+                ..SimConfig::default()
+            };
+            let mut core = EngineCore::new(config, 4, ProgramLibrary::new());
+            for i in 0..4 {
+                let seq = SequencerId::new(i);
+                core.schedule_ready(seq, Cycles::new(500));
+                core.stall(seq, Cycles::new(10), Cycles::new(100));
+                core.schedule_timer(seq, Cycles::new(1_000), 1);
+            }
+            // Batched: one stall-end group and one tick group.  Reference:
+            // four stale readies, four stall ends and four ticks.
+            let expected = if batch { 2 } else { 12 };
+            assert_eq!(core.queue_len(), expected, "batch {batch}");
+        }
     }
 
     #[test]

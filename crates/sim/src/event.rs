@@ -24,6 +24,19 @@ pub enum Event {
         /// The 1-based tick number.
         tick: u64,
     },
+    /// Timer tick number `tick` on several OS-visible CPUs at one instant.
+    /// Equivalent to consecutive [`Event::TimerTick`] events for CPU
+    /// `base + i` over the set bits of `mask` in ascending order, collapsed
+    /// into one queue entry by [`EventQueue::push_tick`]; the engine
+    /// dispatches the members one by one in that order.
+    TimerTickGroup {
+        /// Sequencer index of bit 0 of `mask`.
+        base: u32,
+        /// Bit `i` covers the CPU whose sequencer index is `base + i`.
+        mask: u32,
+        /// The 1-based tick number, the same on every member.
+        tick: u64,
+    },
     /// The end of a timed stall window for `seq`.  The engine resumes the
     /// sequencer if (and only if) its stall window has actually elapsed; stale
     /// resume events from superseded, shorter windows are ignored.
@@ -31,12 +44,18 @@ pub enum Event {
         /// The stalled sequencer.
         seq: SequencerId,
     },
-    /// The end of one shared stall window covering several sequencers (a
-    /// serialization window suspending every AMS of a MISP processor at
-    /// once).  Equivalent to consecutive [`Event::StallEnd`] events for
-    /// `base + i` over the set bits of `mask` in ascending order, collapsed
-    /// into one queue entry; like `StallEnd`, each covered sequencer is only
-    /// resumed if its own window has actually elapsed.
+    /// The end of stall windows of several sequencers at one instant: a
+    /// serialization window suspending every AMS of a MISP processor at once
+    /// (pushed whole by `EngineCore::stall_many`), or same-instant
+    /// [`Event::StallEnd`]s merged by [`EventQueue::push_stall_end`] (the
+    /// windows every SMP core opens on one timer tick).  Equivalent to
+    /// consecutive [`Event::StallEnd`] events for `base + i` over the set
+    /// bits of `mask` in ascending order, collapsed into one queue entry;
+    /// like `StallEnd`, each covered sequencer is only resumed if its own
+    /// window has actually elapsed.  A group holds no supersede slot: a
+    /// later window end pushed for a member leaves the member in place, and
+    /// the member then pops as a no-op, because that sequencer's window
+    /// has not elapsed yet.
     StallEndGroup {
         /// Sequencer index of bit 0 of `mask`.
         base: u32,
@@ -132,6 +151,41 @@ const BUCKETS: usize = 65;
 /// The earliest entry is cached, making `peek` (the macro-step batching
 /// horizon) a field read.
 ///
+/// # Coalesced entries
+///
+/// Two pushes share one queue entry when their events would pop back to
+/// back anyway.  [`EventQueue::push_tick`] adds a tick to the newest tick
+/// entry, and [`EventQueue::push_stall_end`] adds a stall end to the newest
+/// stall-end entry, when all of these hold:
+///
+/// * the push is for the same time;
+/// * it is for a sequencer with a higher index than every member, within
+///   32 of the lowest (the entry's mask is 32 bits wide);
+/// * for a tick, it carries the same tick number; for a stall end, its own
+///   slot holds no live entry (otherwise the push supersedes that entry
+///   as usual and starts a new group);
+/// * no other push at that time came in between, and the entry has not
+///   popped.
+///
+/// Each group is exact.  Had the joining event been pushed separately, it
+/// would have had the same time and a higher seqno than the entry.  Any
+/// entry that would have sorted between the two must have the same time
+/// and must have been pushed in between, which the rule excludes; entries
+/// pushed later sort after both.  So the separate event would have popped
+/// right after the entry, and a group dispatched member by member in
+/// ascending index order ([`Event::TimerTickGroup`],
+/// [`Event::StallEndGroup`]) replays the same sequence.  A joining push
+/// draws no seqno and is not counted in [`QueueProfile::pushes`].  The
+/// first member keeps its plain [`Event::TimerTick`] or
+/// [`Event::StallEnd`] form until a second one joins; a stall end that
+/// becomes a group gives up its supersede slot (see
+/// [`Event::StallEndGroup`]).
+///
+/// [`EventQueue::push`] never coalesces, and [`EventQueue::cancel_ready`]
+/// removes a sequencer's queued `SeqReady`, so a caller that keeps the
+/// event-per-push reference (the engine with `SimConfig::batch` off) uses
+/// `push` alone.
+///
 /// # Supersede slot index
 ///
 /// The queue is *indexed* for the two event kinds the engine supersedes:
@@ -166,9 +220,40 @@ pub struct EventQueue {
     /// Number of queued entries.
     len: usize,
     next_seqno: u64,
+    /// The tick entry the next same-instant [`EventQueue::push_tick`] may
+    /// join, if any (see "Coalesced entries").
+    tick_join: Option<Join>,
+    /// The stall-end entry the next same-instant
+    /// [`EventQueue::push_stall_end`] may join, if any.
+    stall_join: Option<Join>,
     /// Always-on self-profiling counters (plain integer adds on paths that
     /// already write adjacent fields); read out via [`EventQueue::profile`].
     profile: QueueProfile,
+}
+
+/// The newest entry a same-instant tick or stall end may join.
+#[derive(Debug, Clone, Copy)]
+struct Join {
+    /// The entry's time.
+    time: Cycles,
+    /// The entry's seqno, which locates it in its bucket.
+    seqno: u64,
+    /// Sequencer index of bit 0 of `mask`.
+    base: u32,
+    /// The members so far: bit `i` covers sequencer `base + i`.
+    mask: u32,
+    /// The tick number of a tick entry (0 for a stall-end entry).
+    tick: u64,
+}
+
+impl Join {
+    /// Whether `seq` may join a same-time entry with these members: its
+    /// index is above every member's and within the mask's 32 bits.
+    #[inline]
+    fn admits(&self, seq: u32) -> bool {
+        let top = self.base + (31 - self.mask.leading_zeros());
+        seq > top && seq - self.base < 32
+    }
 }
 
 impl Default for EventQueue {
@@ -200,6 +285,8 @@ impl EventQueue {
             scratch: Vec::new(),
             len: 0,
             next_seqno: 0,
+            tick_join: None,
+            stall_join: None,
             profile: QueueProfile::default(),
         }
     }
@@ -217,13 +304,16 @@ impl EventQueue {
 
     /// The replacement slot of an event: `SeqReady` and `StallEnd` events are
     /// per-sequencer singletons (a newer push supersedes the queued one);
-    /// timer ticks and group stall-ends are never superseded.
+    /// timer ticks and groups are never superseded.
     #[inline]
     fn slot_of(event: &Event) -> u32 {
         match event {
             Event::SeqReady { seq, .. } => seq.index() * 2,
             Event::StallEnd { seq } => seq.index() * 2 + 1,
-            Event::TimerTick { .. } | Event::StallEndGroup { .. } | Event::Sample => NO_SLOT,
+            Event::TimerTick { .. }
+            | Event::TimerTickGroup { .. }
+            | Event::StallEndGroup { .. }
+            | Event::Sample => NO_SLOT,
         }
     }
 
@@ -249,12 +339,18 @@ impl EventQueue {
 
     /// Removes and returns the entry at `(bucket, idx)`, fixing up the slot
     /// index for both the removed entry and the entry `swap_remove` moved
-    /// into its place.
+    /// into its place.  A removed join target can take no more members.
     fn remove_at(&mut self, bucket: usize, idx: usize) -> ScheduledEvent {
         let removed = self.buckets[bucket].swap_remove(idx);
         let slot = Self::slot_of(&removed.event);
         if slot != NO_SLOT {
             self.pos[slot as usize] = NO_POS;
+        }
+        if self.tick_join.is_some_and(|j| j.seqno == removed.seqno) {
+            self.tick_join = None;
+        }
+        if self.stall_join.is_some_and(|j| j.seqno == removed.seqno) {
+            self.stall_join = None;
         }
         if idx < self.buckets[bucket].len() {
             let moved = self.buckets[bucket][idx];
@@ -298,6 +394,14 @@ impl EventQueue {
         );
         let seqno = self.next_seqno;
         self.next_seqno += 1;
+        // An entry pushed at a group's time sorts after it, so a later
+        // same-time member may no longer join the group.
+        if self.tick_join.is_some_and(|j| j.time == time) {
+            self.tick_join = None;
+        }
+        if self.stall_join.is_some_and(|j| j.time == time) {
+            self.stall_join = None;
+        }
         let slot = Self::slot_of(&event);
         let mut lost_min = false;
         if slot != NO_SLOT {
@@ -333,6 +437,109 @@ impl EventQueue {
             self.min = self.scan_min();
         } else if self.min.is_none_or(|m| Self::precedes(&ev, &m)) {
             self.min = Some(ev);
+        }
+    }
+
+    /// Schedules timer tick number `tick` for CPU `cpu` at `time`, joining
+    /// the newest tick entry when the rule in "Coalesced entries" admits it
+    /// (the entry becomes or stays an [`Event::TimerTickGroup`]), and
+    /// pushing a plain [`Event::TimerTick`] otherwise.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventQueue::push`].
+    pub fn push_tick(&mut self, time: Cycles, cpu: SequencerId, tick: u64) {
+        let idx = cpu.index();
+        if let Some(j) = &mut self.tick_join {
+            if j.time == time && j.tick == tick && j.admits(idx) {
+                j.mask |= 1 << (idx - j.base);
+                let (seqno, base, mask) = (j.seqno, j.base, j.mask);
+                self.amend(time, seqno, Event::TimerTickGroup { base, mask, tick });
+                return;
+            }
+        }
+        self.push(time, Event::TimerTick { cpu, tick });
+        self.tick_join = Some(Join {
+            time,
+            seqno: self.next_seqno - 1,
+            base: idx,
+            mask: 1,
+            tick,
+        });
+    }
+
+    /// Schedules the end of `seq`'s stall window at `time`, joining the
+    /// newest stall-end entry when the rule in "Coalesced entries" admits
+    /// it (the entry becomes or stays an [`Event::StallEndGroup`]), and
+    /// pushing a plain [`Event::StallEnd`] otherwise.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventQueue::push`].
+    pub fn push_stall_end(&mut self, time: Cycles, seq: SequencerId) {
+        let idx = seq.index();
+        if let Some(j) = &mut self.stall_join {
+            let live = self
+                .pos
+                .get(seq.as_usize() * 2 + 1)
+                .is_some_and(|&p| p != NO_POS);
+            if j.time == time && !live && j.admits(idx) {
+                let first = j.mask == 1;
+                j.mask |= 1 << (idx - j.base);
+                let (seqno, base, mask) = (j.seqno, j.base, j.mask);
+                if first {
+                    // The plain StallEnd becomes a group, which holds no slot.
+                    self.pos[base as usize * 2 + 1] = NO_POS;
+                }
+                self.amend(time, seqno, Event::StallEndGroup { base, mask });
+                return;
+            }
+        }
+        self.push(time, Event::StallEnd { seq });
+        self.stall_join = Some(Join {
+            time,
+            seqno: self.next_seqno - 1,
+            base: idx,
+            mask: 1,
+            tick: 0,
+        });
+    }
+
+    /// Replaces the event of the queued entry `(time, seqno)` in place,
+    /// keeping its key, and the cached minimum's copy if it is that entry.
+    fn amend(&mut self, time: Cycles, seqno: u64, event: Event) {
+        let b = self.bucket_index(time);
+        // A join target was the newest push into its bucket unless later
+        // traffic moved it, so the search from the back is usually one step.
+        let entry = self.buckets[b]
+            .iter_mut()
+            .rev()
+            .find(|e| e.seqno == seqno)
+            .expect("a join target is queued");
+        entry.event = event;
+        if let Some(m) = &mut self.min {
+            if m.seqno == seqno {
+                m.event = event;
+            }
+        }
+    }
+
+    /// Removes `seq`'s queued [`Event::SeqReady`], if any.  The engine calls
+    /// this when it invalidates the event (bumps the sequencer's
+    /// generation) without scheduling a successor, so the stale entry
+    /// neither pops as a no-op nor holds the macro-step horizon back.
+    pub fn cancel_ready(&mut self, seq: SequencerId) {
+        let Some(&p) = self.pos.get(seq.as_usize() * 2) else {
+            return;
+        };
+        if p == NO_POS {
+            return;
+        }
+        let (b, i) = unpack(p);
+        let removed = self.remove_at(b, i);
+        debug_assert!(matches!(removed.event, Event::SeqReady { seq: s, .. } if s == seq));
+        if self.min == Some(removed) {
+            self.min = self.scan_min();
         }
     }
 
@@ -608,6 +815,236 @@ mod tests {
         assert!(matches!(q.pop().unwrap().event, Event::Sample));
         assert!(matches!(q.pop().unwrap().event, Event::Sample));
         assert!(matches!(q.pop().unwrap().event, Event::SeqReady { .. }));
+    }
+
+    fn stall_end(seq: u32) -> Event {
+        Event::StallEnd {
+            seq: SequencerId::new(seq),
+        }
+    }
+
+    /// Expands a popped entry into the per-event sequence it stands for.
+    fn expand(e: ScheduledEvent) -> Vec<(u64, Event)> {
+        let members = |base: u32, mask: u32| {
+            (0..32)
+                .filter(move |i| mask & (1 << i) != 0)
+                .map(move |i| base + i)
+        };
+        let t = e.time.as_u64();
+        match e.event {
+            Event::TimerTickGroup { base, mask, tick } => members(base, mask)
+                .map(|c| (t, self::tick(c, tick)))
+                .collect(),
+            Event::StallEndGroup { base, mask } => {
+                members(base, mask).map(|s| (t, stall_end(s))).collect()
+            }
+            other => vec![(t, other)],
+        }
+    }
+
+    #[test]
+    fn same_time_ticks_from_ascending_cpus_pop_as_one_entry() {
+        let mut q = EventQueue::new();
+        // Stall ends at another time in between do not split the group.
+        for cpu in [0, 1, 3, 7] {
+            q.push_stall_end(Cycles::new(40), SequencerId::new(cpu));
+            q.push_tick(Cycles::new(100), SequencerId::new(cpu), 5);
+        }
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.profile().pushes, 2, "a joining push adds no entry");
+        let ends = q.pop().unwrap();
+        assert_eq!(
+            ends.event,
+            Event::StallEndGroup {
+                base: 0,
+                mask: 0b1000_1011
+            }
+        );
+        let ticks = q.pop().unwrap();
+        assert_eq!(ticks.time, Cycles::new(100));
+        assert_eq!(
+            ticks.event,
+            Event::TimerTickGroup {
+                base: 0,
+                mask: 0b1000_1011,
+                tick: 5
+            }
+        );
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_lone_tick_or_stall_end_keeps_its_plain_form() {
+        let mut q = EventQueue::new();
+        q.push_tick(Cycles::new(100), SequencerId::new(2), 1);
+        q.push_stall_end(Cycles::new(50), SequencerId::new(4));
+        assert_eq!(q.pop().unwrap().event, stall_end(4));
+        assert_eq!(q.pop().unwrap().event, tick(2, 1));
+    }
+
+    #[test]
+    fn intervening_pushes_descending_cpus_and_other_ticks_split_groups() {
+        let at = Cycles::new(100);
+        type Split = (&'static str, fn(&mut EventQueue));
+        let splits: [Split; 6] = [
+            ("a ready at the same time", |q| {
+                q.push(Cycles::new(100), ready(9))
+            }),
+            ("a sample at the same time", |q| {
+                q.push(Cycles::new(100), Event::Sample)
+            }),
+            ("a plain push of a tick", |q| {
+                q.push(Cycles::new(100), tick(8, 1))
+            }),
+            ("a stall end at the same time", |q| {
+                q.push_stall_end(Cycles::new(100), SequencerId::new(9));
+            }),
+            ("a descending cpu", |q| {
+                q.push_tick(Cycles::new(100), SequencerId::new(0), 1)
+            }),
+            ("another tick number", |q| {
+                q.push_tick(Cycles::new(100), SequencerId::new(6), 2)
+            }),
+        ];
+        for (what, split) in splits {
+            let mut q = EventQueue::new();
+            q.push_tick(at, SequencerId::new(1), 1);
+            split(&mut q);
+            q.push_tick(at, SequencerId::new(7), 1);
+            // CPU 1's tick pops first and alone.
+            assert_eq!(
+                q.pop().unwrap().event,
+                tick(1, 1),
+                "{what} must split the group"
+            );
+        }
+        // A cpu more than 31 above the group's base starts a new entry.
+        let mut q = EventQueue::new();
+        q.push_tick(at, SequencerId::new(0), 1);
+        q.push_tick(at, SequencerId::new(32), 1);
+        assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn stall_ends_split_on_a_live_slot_and_ticks_do_not_join_popped_entries() {
+        let mut q = EventQueue::new();
+        let t = Cycles::new(100);
+        // Sequencer 3 already has a queued window end: its push supersedes
+        // that entry and starts a new group instead of joining.
+        q.push_stall_end(Cycles::new(200), SequencerId::new(3));
+        q.push_stall_end(t, SequencerId::new(1));
+        q.push_stall_end(t, SequencerId::new(3));
+        q.push_stall_end(t, SequencerId::new(4));
+        assert_eq!(q.profile().supersessions, 1);
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(
+            order,
+            vec![
+                stall_end(1),
+                Event::StallEndGroup {
+                    base: 3,
+                    mask: 0b11
+                }
+            ]
+        );
+
+        // A group that popped takes no further member.
+        let mut q = EventQueue::new();
+        q.push_tick(t, SequencerId::new(0), 1);
+        assert_eq!(q.pop().unwrap().event, tick(0, 1));
+        q.push_tick(t, SequencerId::new(1), 1);
+        assert_eq!(q.pop().unwrap().event, tick(1, 1));
+    }
+
+    #[test]
+    fn a_stall_end_that_becomes_a_group_gives_up_its_slot() {
+        let mut q = EventQueue::new();
+        let t = Cycles::new(100);
+        q.push_stall_end(t, SequencerId::new(0));
+        q.push_stall_end(t, SequencerId::new(1));
+        // A later window end for sequencer 0 is a fresh entry; the group's
+        // member stays (the engine ignores it, the window has not elapsed).
+        q.push(Cycles::new(300), stall_end(0));
+        assert_eq!(q.profile().supersessions, 0);
+        assert_eq!(
+            q.pop().unwrap().event,
+            Event::StallEndGroup {
+                base: 0,
+                mask: 0b11
+            }
+        );
+        assert_eq!(q.pop().unwrap().event, stall_end(0));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn coalesced_pops_expand_to_the_per_event_sequence() {
+        // The same script through the coalescing pushes and through plain
+        // pushes: the expanded pops must match event for event.
+        let mut grouped = EventQueue::new();
+        let mut plain = EventQueue::new();
+        let mut now = 0u64;
+        for round in 0..40u64 {
+            let tick_at = Cycles::new((round + 1) * 1_000);
+            let end_at = Cycles::new(now + 10 + round % 3);
+            for cpu in 0..6u32 {
+                // Rotate which cpus tick, and break the run now and then.
+                if (cpu as u64 + round) % 4 == 3 {
+                    continue;
+                }
+                let seq = SequencerId::new(cpu);
+                grouped.push_stall_end(end_at, seq);
+                plain.push(end_at, stall_end(cpu));
+                if round % 5 == 0 && cpu == 2 {
+                    grouped.push(end_at, ready(cpu));
+                    plain.push(end_at, ready(cpu));
+                }
+                grouped.push_tick(tick_at, seq, round + 1);
+                plain.push(tick_at, tick(cpu, round + 1));
+            }
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            for _ in 0..3 {
+                if let Some(e) = grouped.pop() {
+                    now = e.time.as_u64();
+                    a.extend(expand(e));
+                }
+            }
+            while b.len() < a.len() {
+                let e = plain.pop().unwrap();
+                b.push((e.time.as_u64(), e.event));
+            }
+            assert_eq!(a, b, "round {round}");
+        }
+        let rest: Vec<(u64, Event)> = std::iter::from_fn(|| grouped.pop())
+            .flat_map(expand)
+            .collect();
+        let plain_rest: Vec<(u64, Event)> =
+            std::iter::from_fn(|| plain.pop().map(|e| (e.time.as_u64(), e.event))).collect();
+        assert_eq!(rest, plain_rest);
+        assert!(grouped.profile().pops < plain.profile().pops);
+    }
+
+    #[test]
+    fn cancel_ready_removes_only_that_sequencers_ready() {
+        let mut q = EventQueue::new();
+        q.push(Cycles::new(10), ready(0));
+        q.push(Cycles::new(20), ready(1));
+        q.push(Cycles::new(15), stall_end(0));
+        q.cancel_ready(SequencerId::new(0));
+        q.cancel_ready(SequencerId::new(5)); // never queued: no-op
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            q.peek().unwrap().time,
+            Cycles::new(15),
+            "the minimum moves on"
+        );
+        assert_eq!(q.pop().unwrap().event, stall_end(0));
+        assert!(matches!(q.pop().unwrap().event, Event::SeqReady { seq, .. } if seq.index() == 1));
+        assert!(q.pop().is_none());
+        // The slot is free again: a new ready is a push, not a supersession.
+        q.push(Cycles::new(30), ready(0));
+        assert_eq!(q.profile().supersessions, 0);
     }
 
     #[test]

@@ -354,12 +354,24 @@ impl<P: Platform> Machine<P> {
                     self.platform
                         .on_timer_tick(&mut self.core, cpu, tick, ev.time);
                 }
+                Event::TimerTickGroup { base, mask, tick } => {
+                    // Equivalent to consecutive TimerTick events for each set
+                    // bit in ascending order (see EventQueue::push_tick).
+                    let mut m = mask;
+                    while m != 0 {
+                        let cpu = SequencerId::new(base + m.trailing_zeros());
+                        self.platform
+                            .on_timer_tick(&mut self.core, cpu, tick, ev.time);
+                        m &= m - 1;
+                    }
+                }
                 Event::StallEnd { seq } => {
                     self.core.handle_stall_end(seq, ev.time);
                 }
                 Event::StallEndGroup { base, mask } => {
                     // Equivalent to consecutive StallEnd events for each set
-                    // bit in ascending order (see stall_many).
+                    // bit in ascending order (see stall_many and
+                    // EventQueue::push_stall_end).
                     let mut m = mask;
                     while m != 0 {
                         let i = m.trailing_zeros();
@@ -706,7 +718,8 @@ impl<P: Platform> Machine<P> {
                         .runtimes
                         .get_mut(pid)
                         .expect("runtime exists for running shred");
-                    let outcome = runtime.on_runtime_op(&mut self.core, seq, shred_id, &rop, now);
+                    let outcome =
+                        runtime.on_runtime_op(&mut self.core, seq, shred_id, &rop, now)?;
                     return Ok(match outcome {
                         RuntimeOutcome::Continue { cost } => {
                             self.core.sequencers_mut().add_busy(seq, cost);

@@ -2,7 +2,7 @@
 
 use crate::core::EngineCore;
 use misp_isa::{ProgramRef, RuntimeOp};
-use misp_types::{Cycles, OsThreadId, SequencerId, ShredId};
+use misp_types::{Cycles, MispError, OsThreadId, Result, SequencerId, ShredId};
 
 /// What the runtime decided about the shred that executed a runtime
 /// operation.
@@ -46,6 +46,12 @@ pub trait Runtime: std::fmt::Debug {
     ) -> Option<ShredId>;
 
     /// A shred executed a runtime operation.
+    ///
+    /// # Errors
+    ///
+    /// An operation the simulated program may not perform, such as
+    /// [`MispError::SynchronizationMisuse`] for unlocking a mutex the shred
+    /// does not hold.  The engine stops the run and returns the error.
     fn on_runtime_op(
         &mut self,
         core: &mut EngineCore,
@@ -53,7 +59,7 @@ pub trait Runtime: std::fmt::Debug {
         shred: ShredId,
         op: &RuntimeOp,
         now: Cycles,
-    ) -> RuntimeOutcome;
+    ) -> Result<RuntimeOutcome>;
 
     /// A shred's program reached its end (implicit `Halt`).
     fn on_shred_halt(
@@ -82,7 +88,8 @@ pub trait Runtime: std::fmt::Debug {
 /// It is used for the single-threaded "competing processes" of the Figure 7
 /// multi-programming experiment and as a light-weight runtime for unit tests.
 /// It supports no runtime operation: a program for this runtime creates,
-/// joins and synchronizes with no other shred, and ends by halting.
+/// joins and synchronizes with no other shred, and ends by halting.  A
+/// runtime operation ends the run with [`MispError::InvalidWorkload`].
 #[derive(Debug)]
 pub struct SingleShredRuntime {
     program: ProgramRef,
@@ -140,8 +147,10 @@ impl Runtime for SingleShredRuntime {
         _shred: ShredId,
         op: &RuntimeOp,
         _now: Cycles,
-    ) -> RuntimeOutcome {
-        panic!("SingleShredRuntime does not support runtime op `{op}`")
+    ) -> Result<RuntimeOutcome> {
+        Err(MispError::InvalidWorkload(format!(
+            "SingleShredRuntime does not support runtime op `{op}`"
+        )))
     }
 
     fn on_shred_halt(

@@ -494,7 +494,8 @@ pub struct MetricsReport {
 /// per-op engines, so they live beside — never inside — the results schema.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueProfile {
-    /// Events pushed (including superseded-slot replacements).
+    /// Queue entries pushed (including superseded-slot replacements; a
+    /// tick or stall end that joins a same-instant group entry adds none).
     pub pushes: u64,
     /// Events popped.
     pub pops: u64,

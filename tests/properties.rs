@@ -8,9 +8,9 @@ use misp::isa::{ProgramBuilder, ProgramLibrary};
 use misp::mem::AccessPattern;
 use misp::os::TimerConfig;
 use misp::sim::{SimConfig, SingleShredRuntime};
-use misp::smp::SmpPlatform;
+use misp::smp::{SmpMachine, SmpPlatform};
 use misp::types::{CostModel, Cycles, SignalCost, VirtAddr, PAGE_SIZE};
-use misp::workloads::{LocalityProfile, Machine, Run, Suite, Workload, WorkloadParams};
+use misp::workloads::{competitor, LocalityProfile, Machine, Run, Suite, Workload, WorkloadParams};
 use proptest::prelude::*;
 
 fn arbitrary_params() -> impl Strategy<Value = WorkloadParams> {
@@ -136,6 +136,46 @@ fn run_tied_threads(
     }
     machine.add_runtime(process, Box::new(SingleShredRuntime::new(program)));
     machine.run().unwrap()
+}
+
+/// Runs `workload` with 4 workers and one OS thread per CPU of `machine`
+/// (SMP cores or MISP processors), plus a compute-bound competitor process
+/// pinned to CPU `competitor_cpu` (modulo the CPU count).  Only the
+/// workload is measured.
+fn run_with_pinned_competitor(
+    workload: &Workload,
+    machine: &Machine,
+    competitor_cpu: usize,
+    config: SimConfig,
+) -> misp::sim::SimReport {
+    let mut library = ProgramLibrary::new();
+    let scheduler = Box::new(workload.build(&mut library, 4));
+    let program = competitor::competitor_program(&mut library, 0, 12_000_000_000);
+    let competitor = Box::new(competitor::competitor_runtime(program));
+    match machine {
+        Machine::Smp { cores } => {
+            let mut smp = SmpMachine::new(*cores, config, library);
+            let app = smp.add_process("app", scheduler, Some(0));
+            for core in 1..*cores {
+                smp.add_thread(app, Some(core));
+            }
+            smp.add_process("competitor", competitor, Some(competitor_cpu % cores));
+            smp.set_measured(vec![app]);
+            smp.run().unwrap()
+        }
+        Machine::Misp(topology) => {
+            let processors = topology.processors().len();
+            let mut misp = MispMachine::new(topology.clone(), config, library);
+            let app = misp.add_process("app", scheduler, Some(0));
+            for processor in 1..processors {
+                misp.add_thread(app, Some(processor));
+            }
+            misp.add_process("competitor", competitor, Some(competitor_cpu % processors));
+            misp.set_measured(vec![app]);
+            misp.run().unwrap()
+        }
+        Machine::Serial => unreachable!("a competitor needs a CPU of its own"),
+    }
 }
 
 /// Runs `workload` on `machine` with 4 workers under `config`.
@@ -306,6 +346,53 @@ proptest! {
         prop_assert_eq!(on.total_cycles, off.total_cycles);
         prop_assert_eq!(&on.stats, &off.stats);
         prop_assert_eq!(on.log_digest, off.log_digest);
+    }
+
+    /// Timer ticks with batching on and off.  Every OS-visible CPU ticks at
+    /// the same instants, so the batched engine shares one queue entry per
+    /// instant among the ticks and among the stall ends they open, and
+    /// drops the `SeqReady`s a suspension leaves stale.  A competitor
+    /// pinned to any CPU makes that CPU's ticks switch contexts; with a
+    /// context-switch cost of zero, the switched-in thread's `SeqReady` lands
+    /// on the instant the other CPUs' stall windows end, pushed between
+    /// their stall ends, which must then not share an entry.  SMP machines
+    /// of 2 to 8 cores and MISP machines of several processors must give
+    /// identical statistics, log digests and trace digests either way.
+    #[test]
+    fn batched_timer_ticks_are_byte_identical(
+        input in (
+            arbitrary_params(),
+            2usize..9,
+            0usize..8,
+            prop_oneof![Just(0u64), Just(4_000), Just(10_000)],
+            prop_oneof![
+                Just(MispTopology::uneven(&[0, 1, 0, 0, 2]).unwrap()),
+                Just(MispTopology::uniform(3, 1).unwrap()),
+            ],
+            any::<bool>(),
+        )
+    ) {
+        let (params, cores, competitor_cpu, context_switch, topology, traced) = input;
+        let w = Workload::new("prop", Suite::Rms, params);
+        let mut base = quick_config().with_costs(
+            CostModel::builder()
+                .context_switch(Cycles::new(context_switch))
+                .build(),
+        );
+        base.trace.enabled = traced;
+        for machine in [Machine::smp(cores), Machine::Misp(topology)] {
+            let run = |batch| {
+                run_with_pinned_competitor(&w, &machine, competitor_cpu, SimConfig { batch, ..base })
+            };
+            let (on, off) = (run(true), run(false));
+            prop_assert_eq!(on.total_cycles, off.total_cycles);
+            prop_assert_eq!(&on.stats, &off.stats);
+            prop_assert_eq!(on.log_digest, off.log_digest);
+            if let (Some(on), Some(off)) = (&on.trace, &off.trace) {
+                prop_assert_eq!(on.digest, off.digest);
+                prop_assert_eq!(on.events.len(), off.events.len());
+            }
+        }
     }
 
     /// The total number of page faults equals the number of distinct pages

@@ -13,9 +13,16 @@
 //!   share; the mutex-protected counter saw every increment),
 //! * the mutex ends free, the barrier releases exactly once, and the work
 //!   queue drains.
+//!
+//! Misuse of the primitives by a simulated program ends the run with a
+//! `MispError` on every machine.
 
-use misp::shredlib::{SyncTable, WorkQueue};
-use misp::types::{LockId, ShredId};
+use misp::core::{MispMachine, MispTopology};
+use misp::isa::{ProgramBuilder, ProgramLibrary};
+use misp::shredlib::{GangScheduler, SyncTable, WorkQueue};
+use misp::sim::{SimConfig, SingleShredRuntime};
+use misp::smp::SmpMachine;
+use misp::types::{Cycles, LockId, MispError, ShredId};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -245,4 +252,62 @@ proptest! {
         prop_assert_eq!(executor.enqueued, shreds as u64 + 2 * grants);
         prop_assert_eq!(executor.completed_chunks, grants);
     }
+}
+
+/// A program whose shred unlocks a mutex it never locked.
+fn unlock_without_lock() -> (ProgramLibrary, GangScheduler) {
+    let mut library = ProgramLibrary::new();
+    let main = library.insert(
+        ProgramBuilder::new("main")
+            .compute(Cycles::new(1_000))
+            .mutex_unlock(LockId::new(2))
+            .compute(Cycles::new(1_000))
+            .build(),
+    );
+    let scheduler = GangScheduler::builder().main_program(main).build();
+    (library, scheduler)
+}
+
+/// Synchronization misuse in a simulated program is an error of the run,
+/// not a panic of the simulator: the MISP and the SMP machine both stop
+/// and return the sync table's `SynchronizationMisuse`.
+#[test]
+fn unlocking_a_mutex_never_locked_ends_the_run_with_an_error() {
+    let expected = MispError::SynchronizationMisuse(format!(
+        "shred {} released mutex {} it does not hold",
+        ShredId::new(0),
+        LockId::new(2)
+    ));
+
+    let (library, scheduler) = unlock_without_lock();
+    let mut misp = MispMachine::new(
+        MispTopology::uniprocessor(3).unwrap(),
+        SimConfig::default(),
+        library,
+    );
+    misp.add_process("misuse", Box::new(scheduler), Some(0));
+    assert_eq!(misp.run().unwrap_err(), expected);
+
+    let (library, scheduler) = unlock_without_lock();
+    let mut smp = SmpMachine::new(2, SimConfig::default(), library);
+    smp.add_process("misuse", Box::new(scheduler), Some(0));
+    assert_eq!(smp.run().unwrap_err(), expected);
+}
+
+/// `SingleShredRuntime` supports no runtime operation; a program that
+/// executes one ends the run with an error instead of a panic.
+#[test]
+fn a_runtime_op_under_the_single_shred_runtime_is_an_error() {
+    let mut library = ProgramLibrary::new();
+    let program = library.insert(
+        ProgramBuilder::new("lone")
+            .mutex_lock(LockId::new(0))
+            .build(),
+    );
+    let mut smp = SmpMachine::new(1, SimConfig::default(), library);
+    smp.add_process("lone", Box::new(SingleShredRuntime::new(program)), Some(0));
+    assert!(matches!(
+        smp.run().unwrap_err(),
+        MispError::InvalidWorkload(msg) if msg.contains("does not support runtime op")
+    ));
 }

@@ -21,8 +21,10 @@
 //!
 //! | Function | Failing audits |
 //! |---|---|
-//! | `step_sequencer` (`crates/sim/src/machine.rs`) | the three `*step_loop*` audits and `service_requests_allocate_less_than_once_each` |
-//! | the radix heap's `EventQueue::{push, pop, place, remove_at, scan_min}` (`crates/sim/src/event.rs`) | the same four |
+//! | `step_sequencer` (`crates/sim/src/machine.rs`) | the four `*step_loop*` audits and `service_requests_allocate_less_than_once_each` |
+//! | the radix heap's `EventQueue::{push, pop, place, remove_at, scan_min}` (`crates/sim/src/event.rs`) | the same five |
+//! | `EventQueue::{push_tick, push_stall_end}` (`crates/sim/src/event.rs`) | `smp_ticking_step_loop_does_not_allocate` |
+//! | `EventQueue::cancel_ready` (`crates/sim/src/event.rs`) | `smp_ticking_step_loop_does_not_allocate` and `service_requests_allocate_less_than_once_each` |
 //! | `ShredPool::{finish, release, continue_at, process_done}` (`crates/sim/src/shred.rs`) | `service_requests_allocate_less_than_once_each` |
 //! | `ServiceState::{may_dispatch, dispatched, complete}` (`crates/shredlib/src/service.rs`) | `service_requests_allocate_less_than_once_each` |
 
@@ -34,7 +36,8 @@ use misp::shredlib::GangScheduler;
 use misp::sim::{
     EngineCore, FleetEngine, Runtime, RuntimeOutcome, ServiceStats, SimConfig, TraceConfig,
 };
-use misp::types::{Cycles, OsThreadId, SequencerId, ShredId};
+use misp::smp::SmpMachine;
+use misp::types::{Cycles, OsThreadId, Result, SequencerId, ShredId};
 use misp::workloads::{scenario, LocalityProfile, Suite, Workload, WorkloadParams};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -109,6 +112,67 @@ fn steady_state_step_loop_does_not_allocate() {
     assert!(
         delta <= 64,
         "steady-state hot loop allocated: {alloc_1x} allocations for {ops_1x} ops vs \
+         {alloc_2x} for {ops_2x} ops (delta {delta})"
+    );
+}
+
+/// Builds a 4-core SMP machine outside the measurement, runs it and returns
+/// (allocations during the run only, executed ops).  The work grows with
+/// `chunks` and the timer ticks every 100k cycles, so the number of ticks
+/// grows with the operations too: every core ticks at the same instants,
+/// and the batched queue coalesces the ticks and the stall windows they
+/// open.
+fn measured_smp_run(chunks: u64) -> (u64, u64) {
+    let workload = Workload::new(
+        "alloc-audit",
+        Suite::Rms,
+        WorkloadParams {
+            total_work: 2_000 * chunks,
+            ..params(chunks)
+        },
+    );
+    let config = SimConfig {
+        timer: TimerConfig::new(Cycles::new(100_000), 10),
+        ..SimConfig::default()
+    };
+    let mut library = ProgramLibrary::new();
+    let scheduler = workload.build(&mut library, 4);
+    let mut machine = SmpMachine::new(4, config, library);
+    let pid = machine.add_process(workload.name(), Box::new(scheduler), Some(0));
+    for core in 1..4 {
+        machine.add_thread(pid, Some(core));
+    }
+
+    let before = thread_allocations();
+    let report = machine.run().unwrap();
+    let during = thread_allocations() - before;
+    let ops = report.stats.per_sequencer.iter().map(|s| s.ops).sum();
+    let ticks = report.stats.total_serializing_events();
+    assert!(
+        ticks > chunks / 100,
+        "the audit needs ticks in proportion to the work (got {ticks} events)"
+    );
+    (during, ops)
+}
+
+/// The SMP steady state with the timer on: per-core ticks, the stall
+/// windows they open and the stale-ready cancellations they make grow with
+/// the work, and none of them may allocate.
+#[test]
+fn smp_ticking_step_loop_does_not_allocate() {
+    let _ = measured_smp_run(1_000);
+
+    let (alloc_1x, ops_1x) = measured_smp_run(100_000);
+    let (alloc_2x, ops_2x) = measured_smp_run(200_000);
+
+    assert!(
+        ops_2x > ops_1x + 100_000,
+        "doubling the chunks must add real operations (got {ops_1x} vs {ops_2x})"
+    );
+    let delta = alloc_2x.abs_diff(alloc_1x);
+    assert!(
+        delta <= 64,
+        "SMP ticking hot loop allocated: {alloc_1x} allocations for {ops_1x} ops vs \
          {alloc_2x} for {ops_2x} ops (delta {delta})"
     );
 }
@@ -252,7 +316,7 @@ impl Runtime for TableAudit {
         shred: ShredId,
         op: &RuntimeOp,
         now: Cycles,
-    ) -> RuntimeOutcome {
+    ) -> Result<RuntimeOutcome> {
         let outcome = self.inner.on_runtime_op(core, seq, shred, op, now);
         self.check(core);
         outcome
