@@ -3,21 +3,20 @@
 //! The container this workspace builds in has no access to a crate registry,
 //! so this crate (together with its siblings `serde_derive` and `serde_json`
 //! under `compat/`) provides exactly the serialization surface the MISP
-//! workspace uses: the `Serialize`/`Deserialize` traits, derive macros for
-//! plain structs and enums, and a JSON value tree.
+//! workspace uses: the `Serialize` trait, its derive macro for structs with
+//! named fields, and a JSON value tree.  The stand-ins serialize only: the one
+//! thing read back is JSON text parsed into a [`Value`], so the
+//! `Deserialize` trait has a single impl, for `Value` itself.
 //!
 //! Design notes and deliberate deviations from real serde:
 //!
 //! - Serialization goes through an owned [`value::Value`] tree instead of
-//!   serde's visitor architecture.  `Serialize::to_value` /
-//!   `Deserialize::from_value` replace `serialize`/`deserialize`.
-//! - Maps serialize as arrays of `[key, value]` pairs, which round-trips any
+//!   serde's visitor architecture.  `Serialize::to_value` replaces
+//!   `serialize`.
+//! - Maps serialize as arrays of `[key, value]` pairs, which keeps any
 //!   serializable key type without the string-key restriction.
-//! - Externally-tagged enum representation matches serde's default: unit
-//!   variants as `"Name"`, newtype variants as `{"Name": value}`, tuple
-//!   variants as `{"Name": [..]}` and struct variants as `{"Name": {..}}`.
-//! - Newtype structs serialize transparently (serde's default), which also
-//!   covers every `#[serde(transparent)]` use in this workspace.
+//! - The derive covers only structs with named fields, which serialize as
+//!   objects in declaration order; see `serde_derive`.
 //!
 //! To switch to real serde, point the `serde`, `serde_json` and the dev-only
 //! `proptest`/`criterion` entries of `[workspace.dependencies]` at crates.io.
@@ -26,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::BuildHasher;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -35,9 +34,9 @@ pub mod value;
 pub use value::{Number, Value};
 
 #[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
-/// Error produced by serialization or deserialization.
+/// Error produced by serialization or by parsing JSON text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     message: String,
@@ -66,63 +65,11 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// A type that can be reconstructed from the serde-compatible value tree.
+/// A type that can be rebuilt from the serde-compatible value tree.  Only
+/// [`Value`] implements it: `serde_json::from_str` parses to a `Value`.
 pub trait Deserialize: Sized {
     /// Rebuilds `Self` from a [`Value`].
     fn from_value(value: &Value) -> Result<Self, Error>;
-}
-
-/// Support items used by the generated code of `serde_derive`.  Not part of
-/// the public API surface mirrored from real serde.
-pub mod __private {
-    use super::{Error, Value};
-
-    /// Looks up a required field of an object value.
-    pub fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, Error> {
-        match value {
-            Value::Object(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| Error::custom(format!("missing field `{key}`"))),
-            other => Err(Error::custom(format!(
-                "expected object with field `{key}`, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
-    /// Looks up an optional field of an object value, yielding `Null` when
-    /// the field is absent.  Used for `skip_serializing_if` fields, which
-    /// round-trip through omission rather than an explicit `null`.
-    pub fn field_or_null<'a>(value: &'a Value, key: &str) -> Result<&'a Value, Error> {
-        static NULL: Value = Value::Null;
-        match value {
-            Value::Object(fields) => Ok(fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map_or(&NULL, |(_, v)| v)),
-            other => Err(Error::custom(format!(
-                "expected object with field `{key}`, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
-    /// Checks that an array value has exactly `len` elements and returns them.
-    pub fn tuple(value: &Value, len: usize) -> Result<&[Value], Error> {
-        match value {
-            Value::Array(items) if items.len() == len => Ok(items),
-            Value::Array(items) => Err(Error::custom(format!(
-                "expected array of length {len}, found length {}",
-                items.len()
-            ))),
-            other => Err(Error::custom(format!(
-                "expected array of length {len}, found {}",
-                other.kind()
-            ))),
-        }
-    }
 }
 
 macro_rules! impl_unsigned {
@@ -130,13 +77,6 @@ macro_rules! impl_unsigned {
         impl Serialize for $ty {
             fn to_value(&self) -> Value {
                 Value::Number(Number::UInt(u64::from(*self)))
-            }
-        }
-        impl Deserialize for $ty {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let n = value.as_u64()?;
-                <$ty>::try_from(n)
-                    .map_err(|_| Error::custom(format!("{n} out of range for {}", stringify!($ty))))
             }
         }
     )*};
@@ -147,13 +87,6 @@ impl_unsigned!(u8, u16, u32, u64);
 impl Serialize for usize {
     fn to_value(&self) -> Value {
         Value::Number(Number::UInt(*self as u64))
-    }
-}
-
-impl Deserialize for usize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let n = value.as_u64()?;
-        usize::try_from(n).map_err(|_| Error::custom(format!("{n} out of range for usize")))
     }
 }
 
@@ -169,13 +102,6 @@ macro_rules! impl_signed {
                 }
             }
         }
-        impl Deserialize for $ty {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let n = value.as_i64()?;
-                <$ty>::try_from(n)
-                    .map_err(|_| Error::custom(format!("{n} out of range for {}", stringify!($ty))))
-            }
-        }
     )*};
 }
 
@@ -187,22 +113,9 @@ impl Serialize for isize {
     }
 }
 
-impl Deserialize for isize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let n = value.as_i64()?;
-        isize::try_from(n).map_err(|_| Error::custom(format!("{n} out of range for isize")))
-    }
-}
-
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Number(Number::Float(*self))
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value.as_f64()
     }
 }
 
@@ -212,27 +125,9 @@ impl Serialize for f32 {
     }
 }
 
-impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.as_f64()? as f32)
-    }
-}
-
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!(
-                "expected bool, found {}",
-                other.kind()
-            ))),
-        }
     }
 }
 
@@ -242,33 +137,9 @@ impl Serialize for char {
     }
 }
 
-impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::custom(format!(
-                "expected char, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!(
-                "expected string, found {}",
-                other.kind()
-            ))),
-        }
     }
 }
 
@@ -290,33 +161,15 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        T::from_value(value).map(Box::new)
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
 }
 
-impl<T: Deserialize> Deserialize for Arc<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        T::from_value(value).map(Arc::new)
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for Rc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Rc<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        T::from_value(value).map(Rc::new)
     }
 }
 
@@ -329,27 +182,8 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 fn seq_to_value<'a, T: Serialize + 'a>(items: impl Iterator<Item = &'a T>) -> Value {
     Value::Array(items.map(Serialize::to_value).collect())
-}
-
-fn value_to_seq<T: Deserialize>(value: &Value) -> Result<Vec<T>, Error> {
-    match value {
-        Value::Array(items) => items.iter().map(T::from_value).collect(),
-        other => Err(Error::custom(format!(
-            "expected array, found {}",
-            other.kind()
-        ))),
-    }
 }
 
 impl<T: Serialize> Serialize for [T] {
@@ -364,24 +198,9 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 
-impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let items = value_to_seq::<T>(value)?;
-        let len = items.len();
-        <[T; N]>::try_from(items)
-            .map_err(|_| Error::custom(format!("expected array of length {N}, found length {len}")))
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         seq_to_value(self.iter())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value_to_seq(value)
     }
 }
 
@@ -391,39 +210,15 @@ impl<T: Serialize> Serialize for VecDeque<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for VecDeque<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value_to_seq(value)
-            .map(Vec::into_iter)
-            .map(VecDeque::from_iter)
-    }
-}
-
 impl<T: Serialize> Serialize for BTreeSet<T> {
     fn to_value(&self) -> Value {
         seq_to_value(self.iter())
     }
 }
 
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value_to_seq(value)
-            .map(Vec::into_iter)
-            .map(BTreeSet::from_iter)
-    }
-}
-
 impl<T: Serialize, S: BuildHasher> Serialize for HashSet<T, S> {
     fn to_value(&self) -> Value {
         seq_to_value(self.iter())
-    }
-}
-
-impl<T: Deserialize + Eq + Hash, S: BuildHasher + Default> Deserialize for HashSet<T, S> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value_to_seq(value)
-            .map(Vec::into_iter)
-            .map(HashSet::from_iter)
     }
 }
 
@@ -437,33 +232,9 @@ fn map_to_value<'a, K: Serialize + 'a, V: Serialize + 'a>(
     )
 }
 
-fn value_to_map<K: Deserialize, V: Deserialize>(value: &Value) -> Result<Vec<(K, V)>, Error> {
-    match value {
-        Value::Array(items) => items
-            .iter()
-            .map(|item| {
-                let pair = __private::tuple(item, 2)?;
-                Ok((K::from_value(&pair[0])?, V::from_value(&pair[1])?))
-            })
-            .collect(),
-        other => Err(Error::custom(format!(
-            "expected array of [key, value] pairs, found {}",
-            other.kind()
-        ))),
-    }
-}
-
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
         map_to_value(self.iter())
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value_to_map(value)
-            .map(Vec::into_iter)
-            .map(BTreeMap::from_iter)
     }
 }
 
@@ -473,55 +244,27 @@ impl<K: Serialize, V: Serialize, S: BuildHasher> Serialize for HashMap<K, V, S> 
     }
 }
 
-impl<K: Deserialize + Eq + Hash, V: Deserialize, S: BuildHasher + Default> Deserialize
-    for HashMap<K, V, S>
-{
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value_to_map(value)
-            .map(Vec::into_iter)
-            .map(HashMap::from_iter)
-    }
-}
-
 impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null
     }
 }
 
-impl Deserialize for () {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(()),
-            other => Err(Error::custom(format!(
-                "expected null, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
 macro_rules! impl_tuple {
-    ($len:literal => $($name:ident : $idx:tt),+) => {
+    ($($name:ident : $idx:tt),+) => {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$idx.to_value()),+])
             }
         }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let items = __private::tuple(value, $len)?;
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
     };
 }
 
-impl_tuple!(1 => A: 0);
-impl_tuple!(2 => A: 0, B: 1);
-impl_tuple!(3 => A: 0, B: 1, C: 2);
-impl_tuple!(4 => A: 0, B: 1, C: 2, D: 3);
-impl_tuple!(5 => A: 0, B: 1, C: 2, D: 3, E: 4);
-impl_tuple!(6 => A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
-impl_tuple!(7 => A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
-impl_tuple!(8 => A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
+impl_tuple!(A: 0);
+impl_tuple!(A: 0, B: 1);
+impl_tuple!(A: 0, B: 1, C: 2);
+impl_tuple!(A: 0, B: 1, C: 2, D: 3);
+impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
+impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
+impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
+impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);

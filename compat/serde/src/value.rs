@@ -71,21 +71,6 @@ impl Value {
         }
     }
 
-    /// Interprets the value as an `i64`.
-    pub fn as_i64(&self) -> Result<i64, Error> {
-        match self {
-            Value::Number(Number::Int(n)) => Ok(*n),
-            Value::Number(Number::UInt(n)) => {
-                i64::try_from(*n).map_err(|_| Error::custom(format!("{n} out of range for i64")))
-            }
-            Value::Number(Number::Float(f)) if f.fract() == 0.0 => Ok(*f as i64),
-            other => Err(Error::custom(format!(
-                "expected integer, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
     /// Interprets the value as an `f64` (any number qualifies).
     pub fn as_f64(&self) -> Result<f64, Error> {
         match self {

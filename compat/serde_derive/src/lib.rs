@@ -1,19 +1,18 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
-//! shapes the MISP workspace actually contains: non-generic structs (named,
-//! tuple and unit) and non-generic enums whose variants are unit, tuple or
-//! struct-like.  Two `#[serde(...)]` attributes are honoured:
-//! `skip_serializing_if = "path"` on named fields (the field is omitted from
-//! the object when the predicate holds, and treated as `null` when absent on
-//! deserialization) and `#[serde(transparent)]` on newtype structs, which
-//! already serialize transparently here (as in real serde).  All other
-//! `#[serde(...)]` attributes are accepted and ignored.
+//! Implements `#[derive(Serialize)]` for the one shape the MISP workspace
+//! derives it on: non-generic structs with named fields, which serialize as
+//! JSON objects in field declaration order.  There is no `Deserialize`
+//! derive: nothing in the workspace decodes a typed value.  One
+//! `#[serde(...)]` attribute is honoured: `skip_serializing_if = "path"` on
+//! a field, which omits the field from the object when the predicate holds.
+//! All other `#[serde(...)]` attributes are accepted and ignored.
 //!
 //! The input token stream is parsed by hand (no `syn`/`quote` in an offline
 //! container) and the generated impl is produced as a string, then reparsed
-//! by the compiler.  Unsupported shapes (generic types, unions) produce a
-//! `compile_error!` naming the limitation rather than silently misbehaving.
+//! by the compiler.  Unsupported shapes (enums, tuple and unit structs,
+//! generic types, unions) produce a `compile_error!` naming the limitation
+//! rather than silently misbehaving.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -24,36 +23,16 @@ struct Field {
     skip_serializing_if: Option<String>,
 }
 
-/// Fields of a struct or enum variant.
-enum Fields {
-    Unit,
-    Named(Vec<Field>),
-    Tuple(usize),
-}
-
-enum Body {
-    Struct(Fields),
-    Enum(Vec<(String, Fields)>),
-}
-
+/// A struct with named fields.
 struct Input {
     name: String,
-    body: Body,
+    fields: Vec<Field>,
 }
 
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    expand(input, gen_serialize)
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    expand(input, gen_deserialize)
-}
-
-fn expand(input: TokenStream, gen: fn(&Input) -> String) -> TokenStream {
     let code = match parse(input) {
-        Ok(parsed) => gen(&parsed),
+        Ok(parsed) => gen_serialize(&parsed),
         Err(msg) => format!("compile_error!({msg:?});"),
     };
     code.parse().expect("serde_derive generated invalid Rust")
@@ -66,12 +45,16 @@ fn parse(input: TokenStream) -> Result<Input, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut pos = 0;
 
-    skip_attributes_and_visibility(&tokens, &mut pos);
+    let _ = consume_attributes_and_visibility(&tokens, &mut pos);
 
-    let keyword = match tokens.get(pos) {
-        Some(TokenTree::Ident(ident)) => ident.to_string(),
-        other => return Err(format!("expected `struct` or `enum`, found {other:?}")),
-    };
+    match tokens.get(pos) {
+        Some(TokenTree::Ident(ident)) if ident.to_string() == "struct" => {}
+        other => {
+            return Err(format!(
+                "serde_derive stand-in: only structs are supported, found {other:?}"
+            ))
+        }
+    }
     pos += 1;
 
     let name = match tokens.get(pos) {
@@ -80,53 +63,21 @@ fn parse(input: TokenStream) -> Result<Input, String> {
     };
     pos += 1;
 
-    if matches!(tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return Err(format!(
+    match tokens.get(pos) {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Ok(Input {
+            fields: parse_named_fields(g.stream())?,
+            name,
+        }),
+        Some(TokenTree::Punct(p)) if p.as_char() == '<' => Err(format!(
             "serde_derive stand-in: generic type `{name}` is not supported"
-        ));
-    }
-
-    match keyword.as_str() {
-        "struct" => {
-            let fields = match tokens.get(pos) {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    Fields::Named(parse_named_fields(g.stream())?)
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    Fields::Tuple(count_tuple_fields(g.stream()))
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-                other => return Err(format!("unexpected struct body: {other:?}")),
-            };
-            Ok(Input {
-                name,
-                body: Body::Struct(fields),
-            })
-        }
-        "enum" => {
-            let body = match tokens.get(pos) {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    parse_variants(g.stream())?
-                }
-                other => return Err(format!("unexpected enum body: {other:?}")),
-            };
-            Ok(Input {
-                name,
-                body: Body::Enum(body),
-            })
-        }
-        other => Err(format!(
-            "serde_derive stand-in: `{other}` items are not supported"
+        )),
+        _ => Err(format!(
+            "serde_derive stand-in: `{name}` has no named fields; only such structs are supported"
         )),
     }
 }
 
-fn skip_attributes_and_visibility(tokens: &[TokenTree], pos: &mut usize) {
-    let _ = consume_attributes_and_visibility(tokens, pos);
-}
-
-/// Skips attributes and visibility like [`skip_attributes_and_visibility`],
-/// additionally returning the predicate path of any
+/// Skips attributes and visibility, returning the predicate path of any
 /// `#[serde(skip_serializing_if = "path")]` attribute encountered.
 fn consume_attributes_and_visibility(tokens: &[TokenTree], pos: &mut usize) -> Option<String> {
     let mut skip_if = None;
@@ -241,74 +192,6 @@ fn skip_type(tokens: &[TokenTree], pos: &mut usize) {
     }
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
-    let mut count = 1;
-    let mut angle_depth = 0usize;
-    let mut trailing_comma = false;
-    for token in &tokens {
-        trailing_comma = false;
-        if let TokenTree::Punct(p) = token {
-            match p.as_char() {
-                '<' => angle_depth += 1,
-                '>' => angle_depth = angle_depth.saturating_sub(1),
-                ',' if angle_depth == 0 => {
-                    count += 1;
-                    trailing_comma = true;
-                }
-                _ => {}
-            }
-        }
-    }
-    if trailing_comma {
-        count -= 1;
-    }
-    count
-}
-
-fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut pos = 0;
-    let mut variants = Vec::new();
-    while pos < tokens.len() {
-        skip_attributes_and_visibility(&tokens, &mut pos);
-        if pos >= tokens.len() {
-            break;
-        }
-        let name = match &tokens[pos] {
-            TokenTree::Ident(ident) => ident.to_string(),
-            other => return Err(format!("expected variant name, found {other:?}")),
-        };
-        pos += 1;
-        let fields = match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                pos += 1;
-                Fields::Named(parse_named_fields(g.stream())?)
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                pos += 1;
-                Fields::Tuple(count_tuple_fields(g.stream()))
-            }
-            _ => Fields::Unit,
-        };
-        // Skip an explicit discriminant (`= expr`) and the separating comma.
-        while pos < tokens.len() {
-            if let TokenTree::Punct(p) = &tokens[pos] {
-                if p.as_char() == ',' {
-                    pos += 1;
-                    break;
-                }
-            }
-            pos += 1;
-        }
-        variants.push((name, fields));
-    }
-    Ok(variants)
-}
-
 // ---------------------------------------------------------------------------
 // Code generation
 
@@ -317,16 +200,7 @@ const HEADER: &str =
 
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
-    let body = match &input.body {
-        Body::Struct(fields) => ser_struct_body(name, fields),
-        Body::Enum(variants) => {
-            let arms: String = variants
-                .iter()
-                .map(|(variant, fields)| ser_variant_arm(name, variant, fields))
-                .collect();
-            format!("match self {{ {arms} }}")
-        }
-    };
+    let body = ser_named_fields(&input.fields);
     format!(
         "{HEADER}impl ::serde::Serialize for {name} {{\n\
          fn to_value(&self) -> ::serde::value::Value {{ {body} }}\n\
@@ -334,35 +208,16 @@ fn gen_serialize(input: &Input) -> String {
     )
 }
 
-fn ser_struct_body(name: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Unit => "::serde::value::Value::Null".to_string(),
-        Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::value::Value::Array(vec![{}])", items.join(", "))
-        }
-        Fields::Named(fields) => {
-            let _ = name;
-            ser_named_fields(fields, |f| format!("&self.{f}"))
-        }
-    }
-}
-
-/// Builds the object-construction expression of a named-field struct or
-/// variant.  `ref_of` maps a field name to the expression yielding a
-/// reference to it (`&self.f` for structs, the match binding for variants).
+/// Builds the object-construction expression of a named-field struct.
 /// Fields carrying `skip_serializing_if` are pushed conditionally.
-fn ser_named_fields(fields: &[Field], ref_of: impl Fn(&str) -> String) -> String {
+fn ser_named_fields(fields: &[Field]) -> String {
     let mut body = String::from(
         "{ let mut __fields: ::std::vec::Vec<(::std::string::String, \
          ::serde::value::Value)> = ::std::vec::Vec::new(); ",
     );
     for field in fields {
         let name = &field.name;
-        let reference = ref_of(name);
+        let reference = format!("&self.{name}");
         let push = format!(
             "__fields.push(({name:?}.to_string(), ::serde::Serialize::to_value({reference})));"
         );
@@ -378,144 +233,4 @@ fn ser_named_fields(fields: &[Field], ref_of: impl Fn(&str) -> String) -> String
     }
     body.push_str("::serde::value::Value::Object(__fields) }");
     body
-}
-
-fn ser_variant_arm(name: &str, variant: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Unit => format!(
-            "{name}::{variant} => ::serde::value::Value::String({variant:?}.to_string()),\n"
-        ),
-        Fields::Tuple(n) => {
-            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-            let inner = if *n == 1 {
-                "::serde::Serialize::to_value(__f0)".to_string()
-            } else {
-                let items: Vec<String> = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                    .collect();
-                format!("::serde::value::Value::Array(vec![{}])", items.join(", "))
-            };
-            format!(
-                "{name}::{variant}({}) => ::serde::value::Value::Object(vec![({variant:?}.to_string(), {inner})]),\n",
-                binds.join(", ")
-            )
-        }
-        Fields::Named(fields) => {
-            let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-            let inner = ser_named_fields(fields, |f| f.to_string());
-            format!(
-                "{name}::{variant} {{ {} }} => ::serde::value::Value::Object(vec![({variant:?}.to_string(), {inner})]),\n",
-                binds.join(", ")
-            )
-        }
-    }
-}
-
-fn gen_deserialize(input: &Input) -> String {
-    let name = &input.name;
-    let body = match &input.body {
-        Body::Struct(fields) => de_struct_body(name, fields),
-        Body::Enum(variants) => de_enum_body(name, variants),
-    };
-    format!(
-        "{HEADER}impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(__value: &::serde::value::Value) -> ::core::result::Result<Self, ::serde::Error> {{ {body} }}\n\
-         }}"
-    )
-}
-
-fn de_struct_body(name: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Unit => format!("{{ let _ = __value; Ok({name}) }}"),
-        Fields::Tuple(1) => format!("Ok({name}(::serde::Deserialize::from_value(__value)?))"),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
-            format!(
-                "{{ let __items = ::serde::__private::tuple(__value, {n})?; Ok({name}({})) }}",
-                items.join(", ")
-            )
-        }
-        Fields::Named(fields) => {
-            let items: Vec<String> = fields
-                .iter()
-                .map(|f| de_named_field(f, "__value"))
-                .collect();
-            format!("Ok({name} {{ {} }})", items.join(", "))
-        }
-    }
-}
-
-/// Builds the `field: from_value(..)?` initializer of one named field.
-/// Fields carrying `skip_serializing_if` read as `null` when absent, so a
-/// document that omitted them round-trips.
-fn de_named_field(field: &Field, source: &str) -> String {
-    let name = &field.name;
-    let lookup = if field.skip_serializing_if.is_some() {
-        "field_or_null"
-    } else {
-        "field"
-    };
-    format!(
-        "{name}: ::serde::Deserialize::from_value(::serde::__private::{lookup}({source}, {name:?})?)?"
-    )
-}
-
-fn de_enum_body(name: &str, variants: &[(String, Fields)]) -> String {
-    let unit_arms: String = variants
-        .iter()
-        .filter(|(_, fields)| matches!(fields, Fields::Unit))
-        .map(|(variant, _)| format!("{variant:?} => Ok({name}::{variant}),\n"))
-        .collect();
-    let tagged_arms: String = variants
-        .iter()
-        .filter(|(_, fields)| !matches!(fields, Fields::Unit))
-        .map(|(variant, fields)| de_variant_arm(name, variant, fields))
-        .collect();
-    format!(
-        "match __value {{\n\
-         ::serde::value::Value::String(__s) => match __s.as_str() {{\n\
-         {unit_arms}\
-         __other => Err(::serde::Error::custom(format!(\"unknown {name} variant `{{__other}}`\"))),\n\
-         }},\n\
-         ::serde::value::Value::Object(__fields) if __fields.len() == 1 => {{\n\
-         let (__tag, __inner) = &__fields[0];\n\
-         match __tag.as_str() {{\n\
-         {tagged_arms}\
-         __other => Err(::serde::Error::custom(format!(\"unknown {name} variant `{{__other}}`\"))),\n\
-         }}\n\
-         }},\n\
-         __other => Err(::serde::Error::custom(format!(\"expected {name} variant, found {{}}\", __other.kind()))),\n\
-         }}"
-    )
-}
-
-fn de_variant_arm(name: &str, variant: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Unit => unreachable!("unit variants handled in the string arm"),
-        Fields::Tuple(1) => format!(
-            "{variant:?} => Ok({name}::{variant}(::serde::Deserialize::from_value(__inner)?)),\n"
-        ),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
-            format!(
-                "{variant:?} => {{ let __items = ::serde::__private::tuple(__inner, {n})?; Ok({name}::{variant}({})) }},\n",
-                items.join(", ")
-            )
-        }
-        Fields::Named(fields) => {
-            let items: Vec<String> = fields
-                .iter()
-                .map(|f| de_named_field(f, "__inner"))
-                .collect();
-            format!(
-                "{variant:?} => Ok({name}::{variant} {{ {} }}),\n",
-                items.join(", ")
-            )
-        }
-    }
 }

@@ -1,10 +1,11 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
-//! Emits and parses JSON through the [`serde`] stand-in's owned value tree.
-//! Supports everything this workspace serializes; see the `serde` crate's
-//! documentation for the (few, deliberate) representation differences from
-//! real serde_json — most notably, maps emit as arrays of `[key, value]`
-//! pairs rather than string-keyed objects.
+//! Emits JSON through the [`serde`] stand-in's owned value tree, and parses
+//! JSON text into that tree: [`from_str`] yields a [`Value`], the only type
+//! the stand-ins decode.  Supports everything this workspace serializes; see
+//! the `serde` crate's documentation for the (few, deliberate)
+//! representation differences from real serde_json — most notably, maps
+//! emit as arrays of `[key, value]` pairs rather than string-keyed objects.
 
 #![forbid(unsafe_code)]
 
@@ -91,7 +92,9 @@ impl<W: std::io::Write> LineWriter<W> {
     }
 }
 
-/// Deserializes a `T` from a JSON string.
+/// Parses a JSON string into a [`Value`], the one type that implements
+/// [`Deserialize`] (the signature keeps real serde_json's
+/// `from_str::<Value>` form).
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         input: s,
@@ -478,33 +481,57 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_trips_scalars() {
-        assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(from_str::<u64>("42").unwrap(), 42);
-        assert_eq!(to_string(&-7i32).unwrap(), "-7");
-        assert_eq!(from_str::<i32>("-7").unwrap(), -7);
-        assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(to_string(&2.5f64).unwrap(), "2.5");
-        assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
-        assert_eq!(from_str::<f64>("2.0").unwrap(), 2.0);
-        assert_eq!(to_string("a\"b\n").unwrap(), "\"a\\\"b\\n\"");
-        assert_eq!(from_str::<String>("\"a\\\"b\\n\"").unwrap(), "a\"b\n");
+    fn parse(json: &str) -> Result<Value, Error> {
+        from_str(json)
+    }
+
+    fn string(s: &str) -> Value {
+        Value::String(s.to_string())
     }
 
     #[test]
-    fn round_trips_containers() {
-        let v = vec![1u32, 2, 3];
-        let json = to_string(&v).unwrap();
+    fn emits_and_parses_scalars() {
+        assert_eq!(to_string(&42u64).unwrap(), "42");
+        assert_eq!(parse("42").unwrap(), Value::Number(Number::UInt(42)));
+        assert_eq!(to_string(&-7i32).unwrap(), "-7");
+        assert_eq!(parse("-7").unwrap(), Value::Number(Number::Int(-7)));
+        assert_eq!(to_string(&true).unwrap(), "true");
+        assert_eq!(to_string(&2.5f64).unwrap(), "2.5");
+        assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
+        assert_eq!(parse("2.0").unwrap(), Value::Number(Number::Float(2.0)));
+        assert_eq!(to_string("a\"b\n").unwrap(), "\"a\\\"b\\n\"");
+        assert_eq!(parse("\"a\\\"b\\n\"").unwrap(), string("a\"b\n"));
+        assert_eq!(
+            parse(r#""\/\t\u00e9\ud83d\ude00""#).unwrap(),
+            string("/\t\u{e9}\u{1f600}")
+        );
+    }
+
+    #[test]
+    fn emits_and_parses_containers() {
+        let json = to_string(&vec![1u32, 2, 3]).unwrap();
         assert_eq!(json, "[1,2,3]");
-        assert_eq!(from_str::<Vec<u32>>(&json).unwrap(), v);
+        let uint = |n| Value::Number(Number::UInt(n));
+        assert_eq!(
+            parse(&json).unwrap(),
+            Value::Array(vec![uint(1), uint(2), uint(3)])
+        );
 
         let mut m = std::collections::BTreeMap::new();
         m.insert(3u32, "x".to_string());
         let json = to_string(&m).unwrap();
         assert_eq!(json, "[[3,\"x\"]]");
-        let back: std::collections::BTreeMap<u32, String> = from_str(&json).unwrap();
-        assert_eq!(back, m);
+        assert_eq!(
+            parse(&json).unwrap(),
+            Value::Array(vec![Value::Array(vec![uint(3), string("x")])])
+        );
+        assert_eq!(
+            parse(r#"{"a": [], "b": {}}"#).unwrap(),
+            Value::Object(vec![
+                ("a".to_string(), Value::Array(vec![])),
+                ("b".to_string(), Value::Object(vec![])),
+            ])
+        );
     }
 
     #[test]
@@ -549,17 +576,19 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(from_str::<u64>("").is_err());
-        assert!(from_str::<u64>("12 34").is_err());
-        assert!(from_str::<Vec<u32>>("[1,").is_err());
-        assert!(from_str::<String>("\"abc").is_err());
+        assert!(parse("").is_err());
+        assert!(parse("12 34").is_err());
+        assert!(parse("[1,").is_err());
+        assert!(parse("\"abc").is_err());
+        assert!(parse(r#""\x""#).is_err());
+        assert!(parse(r#""\ud83d""#).is_err());
         assert!(to_string(&f64::NAN).is_err());
     }
 
     #[test]
     fn deep_nesting_errors_instead_of_overflowing() {
         let deep = "[".repeat(100_000);
-        let err = from_str::<Vec<u32>>(&deep).unwrap_err();
+        let err = parse(&deep).unwrap_err();
         assert!(err.to_string().contains("recursion limit"));
     }
 
@@ -568,7 +597,7 @@ mod tests {
         let body: String = "x".repeat(1_000_000);
         let json = format!("\"{body}\"");
         let start = std::time::Instant::now();
-        assert_eq!(from_str::<String>(&json).unwrap(), body);
+        assert_eq!(parse(&json).unwrap(), string(&body));
         assert!(start.elapsed() < std::time::Duration::from_secs(2));
     }
 }

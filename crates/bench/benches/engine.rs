@@ -29,12 +29,13 @@ use misp_core::{FleetTopology, LoadBalancerPolicy};
 use misp_harness::{grids, run_grid, run_grid_with_artifacts, GridSpec, SweepOptions, VerifyMode};
 use misp_sim::{QueueProfile, SimConfig};
 use misp_workloads::{catalog, scenario, Machine, Run};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
+use serde_json::Value;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// One measured configuration of the grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct BenchEntry {
     /// Short slug of the PR that measured this entry.
     pr: String,
@@ -65,7 +66,7 @@ struct BenchEntry {
 }
 
 /// The `BENCH_engine.json` document (schema v2).
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct BenchDoc {
     schema_version: u32,
     /// Per-PR measurements, append-only (oldest first).
@@ -82,15 +83,44 @@ struct BenchDoc {
     speedup_vs_seed: Option<f64>,
 }
 
+/// Reads one committed entry back through the JSON value tree.
+fn parse_entry(entry: &Value) -> Option<BenchEntry> {
+    let text = |key| match entry.get(key) {
+        Some(Value::String(s)) => Some(s.clone()),
+        _ => None,
+    };
+    let uint = |key| entry.get(key).and_then(|v| v.as_u64().ok());
+    let float = |key| entry.get(key).and_then(|v| v.as_f64().ok());
+    Some(BenchEntry {
+        pr: text("pr")?,
+        grid: text("grid")?,
+        config: text("config")?,
+        total_ops: uint("total_ops")?,
+        wall_ms: float("wall_ms")?,
+        ops_per_sec: float("ops_per_sec")?,
+        heap_max_len: uint("heap_max_len"),
+        heap_redistributions: uint("heap_redistributions"),
+        heap_supersessions: uint("heap_supersessions"),
+    })
+}
+
 /// Loads previously committed entries (plus the seed reference).
 fn load_prior(path: &PathBuf) -> (Vec<BenchEntry>, Option<f64>) {
     let Ok(text) = std::fs::read_to_string(path) else {
         return (Vec::new(), None);
     };
-    match serde_json::from_str::<BenchDoc>(&text) {
-        Ok(doc) if doc.schema_version == 2 => (doc.entries, doc.reference_seed_wall_ms),
-        _ => panic!("BENCH_engine.json exists but is not a schema v2 document"),
-    }
+    let doc = serde_json::from_str::<Value>(&text).unwrap_or(Value::Null);
+    let entries = match (doc.get("schema_version"), doc.get("entries")) {
+        (Some(version), Some(Value::Array(entries))) if version.as_u64() == Ok(2) => {
+            entries.iter().map(parse_entry).collect::<Option<Vec<_>>>()
+        }
+        _ => None,
+    };
+    let entries = entries.expect("BENCH_engine.json exists but is not a schema v2 document");
+    let seed = doc
+        .get("reference_seed_wall_ms")
+        .and_then(|v| v.as_f64().ok());
+    (entries, seed)
 }
 
 /// Runs fig4's workload × machine matrix directly through [`Run`] under

@@ -1,13 +1,12 @@
 //! Cache-hierarchy configuration.
 
 use misp_types::{CacheCostModel, MispError, Result};
-use serde::{Deserialize, Serialize};
 
 /// The geometry of one set-associative cache level: `sets × ways` lines.
 ///
 /// The line size is shared by both levels and lives in [`CacheConfig`], so a
 /// geometry is fully described by its set and way counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Number of sets.
     pub sets: u32,
@@ -78,7 +77,7 @@ impl CacheGeometry {
 /// assert_eq!(small_l2.l2.lines(), 32);
 /// assert_eq!(small_l2.label(), "l1:64KiB/2w,l2:128KiB/2w");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Whether the hierarchy is modeled at all.  When `false` every access
     /// bypasses the caches and charges only the engine's flat access cost.
@@ -223,13 +222,5 @@ mod tests {
         let c = CacheConfig::enabled_default();
         assert_eq!(c.label(), "l1:64KiB/2w,l2:2MiB/8w");
         assert_eq!(c.with_l2(16, 2).label(), "l1:64KiB/2w,l2:128KiB/2w");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = CacheConfig::enabled_default().with_l2(32, 4);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: CacheConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::{CacheConfig, MesiState, SetAssocCache};
 use misp_types::{Cycles, FxHashSet, SequencerId, VirtAddr};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Where in the hierarchy an access resolved.
@@ -45,7 +45,8 @@ pub struct CacheOutcome {
 }
 
 /// Hit/miss/coherence counters of one sequencer's view of the hierarchy.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// `Serialize` because the harness's results schema embeds it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Accesses serviced by the private L1.
     pub l1_hits: u64,

@@ -9,7 +9,6 @@
 //! (the dispatch hop).
 
 use misp_types::{Cycles, MispError, Result};
-use serde::{Deserialize, Serialize};
 
 /// How the load balancer assigns incoming requests to fleet machines.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// the fleet shape, so MISP and SMP fleets fed the same seed dispatch the
 /// identical request sequence to the identical machines (common random
 /// numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBalancerPolicy {
     /// Requests rotate through machines in id order.
     RoundRobin,
@@ -54,7 +53,7 @@ impl LoadBalancerPolicy {
 
 /// The shape of a simulated fleet: machine count, inter-machine network
 /// latency and the load-balancer policy spreading requests across machines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetTopology {
     machines: usize,
     network_latency: Cycles,

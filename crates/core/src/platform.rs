@@ -6,11 +6,10 @@ use misp_isa::Continuation;
 use misp_os::{OsEventKind, SystemScheduler};
 use misp_sim::{EngineCore, Platform, SavedContext, ShredStatus, TraceKind};
 use misp_types::{Cycles, FxHashMap, OsThreadId, SequencerId};
-use serde::{Deserialize, Serialize};
 
 /// How the machine treats AMSs while an OMS executes in Ring 0
 /// (Section 2.3).
-#[derive(Default, Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Default, Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RingPolicy {
     /// The paper's prototype policy: suspend every AMS of the processor when
     /// its OMS enters Ring 0 and resume them after it returns to Ring 3.

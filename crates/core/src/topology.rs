@@ -1,11 +1,10 @@
 //! MISP machine topologies.
 
 use misp_types::{MispError, MispProcessorId, Result, SequencerId};
-use serde::{Deserialize, Serialize};
 
 /// One MISP processor: an OS-managed sequencer plus its application-managed
 /// sequencers.  To the OS the whole group appears as a single logical CPU.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MispProcessor {
     id: MispProcessorId,
     oms: SequencerId,
@@ -52,7 +51,7 @@ impl MispProcessor {
 /// [`MispTopology::uniprocessor`] for the Figure 4 machine (1 OMS + 7 AMS) and
 /// [`MispTopology::uniform`] / [`MispTopology::uneven`] for the multiprocessor
 /// configurations of Figures 6 and 7 (4×2, 2×4, 1×8 and 1×4+4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MispTopology {
     processors: Vec<MispProcessor>,
 }

@@ -10,14 +10,14 @@
 
 use crate::exec::RunArtifacts;
 use misp_trace::{IntervalSample, MetricsReport, TraceReport};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One line of the interval-metrics JSONL stream: a run identifier plus the
 /// flattened [`IntervalSample`].  Lines are self-describing — the `run`
 /// field makes the stream commutatively mergeable across harness shards
 /// (concatenate, then group by `run`; each run's lines are already
 /// time-ascending).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MetricsLine {
     /// Grid-point id the sample belongs to.
     pub run: String,
@@ -141,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_are_self_describing_and_round_trip() {
+    fn jsonl_lines_are_self_describing() {
         let report = MetricsReport {
             interval: 10,
             samples: vec![sample(10), sample(20)],
@@ -153,10 +153,16 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        let back: MetricsLine = serde_json::from_str(lines[1]).unwrap();
-        assert_eq!(back.run, "g/p");
-        assert_eq!(back.t, 20);
-        assert_eq!(back.busy, 40);
+        let back: serde_json::Value = serde_json::from_str(lines[1]).unwrap();
+        assert_eq!(
+            back.get("run"),
+            Some(&serde_json::Value::String("g/p".into()))
+        );
+        assert_eq!(back.get("t").map(serde_json::Value::as_u64), Some(Ok(20)));
+        assert_eq!(
+            back.get("busy").map(serde_json::Value::as_u64),
+            Some(Ok(40))
+        );
     }
 
     #[test]
@@ -204,10 +210,12 @@ mod tests {
         }
         let bytes = metrics_jsonl(&records, &artifacts).unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        let runs: Vec<String> = text
+        let runs: Vec<serde_json::Value> = text
             .lines()
-            .map(|l| serde_json::from_str::<MetricsLine>(l).unwrap().run)
+            .map(|l| serde_json::from_str::<serde_json::Value>(l).unwrap())
+            .map(|line| line.get("run").unwrap().clone())
             .collect();
-        assert_eq!(runs, ["a", "b"]);
+        let id = |s: &str| serde_json::Value::String(s.to_string());
+        assert_eq!(runs, [id("a"), id("b")]);
     }
 }

@@ -3,7 +3,7 @@
 //! Every figure and table of the paper is a *grid*: a cross product of
 //! workloads, machines, topologies and configuration overrides.  This crate
 //! declares grids as data ([`GridSpec`]/[`RunSpec`]), fans the points out
-//! across OS threads with a work-stealing batch scheduler
+//! across OS threads with a shared-counter batch scheduler
 //! ([`scheduler::run_batch`]), and aggregates the per-run
 //! [`misp_sim::SimReport`]s into a versioned JSON document
 //! ([`SweepResults`], schema version [`SCHEMA_VERSION`]).
@@ -99,7 +99,7 @@ impl Default for SweepOptions {
 /// [`SweepResults`] document.
 ///
 /// Points are distributed across `options.threads` OS threads by the
-/// work-stealing batch scheduler; records are assembled in grid order, then
+/// shared-counter batch scheduler; records are assembled in grid order, then
 /// baseline references are resolved into `speedup_vs_baseline` values.  With
 /// a parallel fan-out the determinism invariant is re-checked per
 /// `options.verify`.

@@ -538,7 +538,6 @@ mod tests {
     fn absent_v4_fields_are_omitted_not_null() {
         let report = misp_sim::SimReport {
             total_cycles: misp_types::Cycles::new(1),
-            completions: std::collections::BTreeMap::new(),
             stats: misp_sim::SimStats::default(),
             log_digest: 0,
             trace: None,

@@ -1,11 +1,11 @@
-//! The work-stealing batch scheduler.
+//! The shared-counter batch scheduler.
 //!
 //! Grid points are independent, so the only scheduling concern is load
 //! balance: run lengths vary by orders of magnitude across a grid (a Figure 7
 //! multi-programming point simulates billions of cycles, a Figure 6 point
-//! none at all).  The scheduler deals per-worker deques round-robin, then
-//! lets idle workers steal from the back of their peers' deques — the
-//! classic batch work-stealing shape, built on `std` threads and locks only.
+//! none at all).  Every worker takes the next unclaimed job index from one
+//! shared atomic counter, so a worker that finishes early simply claims
+//! more.
 //!
 //! Determinism: every job writes its result into its own pre-allocated slot,
 //! so the output order is the input order no matter which worker ran what
@@ -13,26 +13,8 @@
 //! output independent of the thread count — the property
 //! [`crate::run_grid`] asserts.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// One worker's deque of job indices, lock-protected.
-///
-/// Contention is negligible: jobs are coarse (whole simulations), so queue
-/// operations are rare relative to job run time.
-struct WorkerQueue {
-    jobs: Mutex<VecDeque<usize>>,
-}
-
-impl WorkerQueue {
-    fn pop_front(&self) -> Option<usize> {
-        self.jobs.lock().expect("queue lock poisoned").pop_front()
-    }
-
-    fn steal_back(&self) -> Option<usize> {
-        self.jobs.lock().expect("queue lock poisoned").pop_back()
-    }
-}
 
 /// Runs `count` jobs across `threads` OS threads and returns their results in
 /// job order.  `job(i)` must be safe to call from any thread; results land in
@@ -49,41 +31,22 @@ where
         return (0..count).map(job).collect();
     }
 
-    let workers = threads.min(count);
-    let queues: Vec<WorkerQueue> = (0..workers)
-        .map(|_| WorkerQueue {
-            jobs: Mutex::new(VecDeque::new()),
-        })
-        .collect();
-    // Deal jobs round-robin so every worker starts with a share of the grid;
-    // stealing evens out whatever imbalance the deal leaves.
-    for index in 0..count {
-        queues[index % workers]
-            .jobs
-            .lock()
-            .expect("queue lock poisoned")
-            .push_back(index);
-    }
-
+    // The counter only hands out distinct indices, which `fetch_add` does at
+    // any ordering; results travel through the slot mutexes and the scope's
+    // join, so `Relaxed` publishes nothing else.
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let job = &job;
-            scope.spawn(move || {
-                loop {
-                    // Own work first (front), then steal from peers (back).
-                    let next = queues[me].pop_front().or_else(|| {
-                        (1..queues.len())
-                            .map(|offset| (me + offset) % queues.len())
-                            .find_map(|victim| queues[victim].steal_back())
-                    });
-                    let Some(index) = next else { break };
-                    let result = job(index);
-                    *slots[index].lock().expect("slot lock poisoned") = Some(result);
+        for _ in 0..threads.min(count) {
+            let (next, slots, job) = (&next, &slots, &job);
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= count {
+                    break;
                 }
+                let result = job(index);
+                *slots[index].lock().expect("slot lock poisoned") = Some(result);
             });
         }
     });
@@ -101,7 +64,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_job_order_for_any_thread_count() {
@@ -123,9 +85,9 @@ mod tests {
     }
 
     #[test]
-    fn uneven_job_lengths_are_balanced_by_stealing() {
-        // One long job dealt to worker 0 plus many short ones: the batch must
-        // still complete with correct results (stealing keeps peers busy).
+    fn uneven_job_lengths_complete_in_job_order() {
+        // One long job claimed first plus many short ones: the batch must
+        // still complete with correct results (peers keep claiming the rest).
         let out = run_batch(33, 4, |i| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));

@@ -3,7 +3,6 @@
 use crate::ProgramRef;
 use core::fmt;
 use misp_types::VirtAddr;
-use serde::{Deserialize, Serialize};
 
 /// A shred continuation: the `<EIP, ESP>` pair the paper's `SIGNAL`
 /// instruction delivers to a destination sequencer, plus the program the
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(k.program(), ProgramRef::new(2));
 /// assert!(k.to_string().starts_with("<eip=0x401000"));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Continuation {
     program: ProgramRef,
     eip: VirtAddr,

@@ -8,12 +8,11 @@
 //! and can be stored inside the simulator's shred table.
 
 use crate::{Op, ProgramItem, ShredProgram};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Position within a (possibly nested) program, stored as indices so it does
 /// not borrow the program.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CursorState {
     /// Index of the next top-level item.
     top_index: usize,
@@ -25,7 +24,7 @@ pub struct CursorState {
     executed: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Frame {
     /// Path of item indices leading to this loop (from the top level).
     path: Vec<usize>,

@@ -2,16 +2,12 @@
 
 use crate::ShredProgram;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A reference to a program inside a [`ProgramLibrary`].
 ///
 /// Dynamically-created shreds (via `RuntimeOp::ShredCreate`) name their code
 /// by `ProgramRef`, keeping the operation alphabet small and cloneable.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProgramRef(u32);
 
 impl ProgramRef {
@@ -59,7 +55,7 @@ impl fmt::Display for ProgramRef {
 /// assert_eq!(lib.get(worker).unwrap().name(), "worker");
 /// assert_eq!(lib.len(), 1);
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ProgramLibrary {
     programs: Vec<ShredProgram>,
 }

@@ -3,10 +3,9 @@
 use crate::{Continuation, ProgramRef, SyscallKind};
 use core::fmt;
 use misp_types::{Cycles, LockId, SequencerId, ShredId, VirtAddr};
-use serde::{Deserialize, Serialize};
 
 /// Whether a memory access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load (read) access.
     Load,
@@ -30,7 +29,7 @@ impl fmt::Display for AccessKind {
 /// ordinary Ring 3 instructions (Section 4.2); in the simulator they are
 /// interpreted by the runtime attached to the execution engine, which charges
 /// the appropriate user-level costs and never requires a ring transition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeOp {
     /// Create a new shred whose code is `program`; the shred continuation is
     /// pushed onto the runtime's work queue (Figure 3's `Shred_create`).
@@ -69,7 +68,7 @@ impl fmt::Display for RuntimeOp {
 /// of arithmetic instructions.  Only behaviours the MISP architecture reacts
 /// to — memory touches, Ring 0 traps, inter-sequencer signaling, and runtime
 /// calls — are modeled as distinct operations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Execute for the given number of cycles without touching memory or the
     /// OS.

@@ -2,10 +2,9 @@
 
 use crate::Op;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// One item of a [`ShredProgram`]: either a single operation or a loop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramItem {
     /// A single operation.
     Op(Op),
@@ -39,7 +38,7 @@ impl ProgramItem {
 /// [`ProgramBuilder`](crate::ProgramBuilder)) and are executed by walking a
 /// [`ProgramCursor`].  A program always behaves as if it ends with an implicit
 /// [`Op::Halt`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShredProgram {
     name: String,
     items: Vec<ProgramItem>,

@@ -1,7 +1,6 @@
 //! System-call classification.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// The class of a system call issued by a shred or thread.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// syscall is a Ring 3 → Ring 0 transition on the OMS, or a proxy-execution
 /// request on an AMS), but it lets workloads and the event log describe *why*
 /// the program trapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum SyscallKind {
     /// File or console I/O (the dominant source in swim/equake, which log

@@ -2,14 +2,13 @@
 
 use crate::WorkingSet;
 use misp_types::VirtAddr;
-use serde::{Deserialize, Serialize};
 
 /// How a shred walks a working set.
 ///
 /// The patterns mirror the memory behaviour of the paper's benchmark classes:
 /// dense kernels stream sequentially, sparse kernels make strided/indirect
 /// accesses, and RayTracer-style applications touch pages irregularly.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Visit every page in ascending order (dense matrix kernels, swim,
     /// applu).

@@ -1,10 +1,9 @@
 //! Per-sequencer translation look-aside buffers.
 
 use misp_types::{FxHashMap, PageId};
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss/flush counters for one TLB.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TlbStats {
     /// Number of lookups that hit.
     pub hits: u64,
@@ -36,7 +35,7 @@ pub struct TlbStats {
 /// assert!(!tlb.lookup_insert(PageId::new(3))); // miss, evicts page 1 (LRU)
 /// assert!(!tlb.lookup_insert(PageId::new(1))); // miss again
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     capacity: usize,
     /// Page → slab slot of its list node.
@@ -54,7 +53,7 @@ pub struct Tlb {
 }
 
 /// One LRU list node; `NIL` marks the ends of the list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     page: PageId,
     prev: u32,

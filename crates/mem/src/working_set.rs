@@ -1,7 +1,6 @@
 //! Working-set descriptions used by workload generators.
 
 use misp_types::{PageId, VirtAddr, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// A contiguous region of virtual memory that a shred (or a group of shreds)
 /// works over.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let halves = matrix.split(2);
 /// assert_eq!(halves[1].base(), matrix.page_addr(256));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkingSet {
     name: String,
     base: VirtAddr,

@@ -2,14 +2,13 @@
 
 use core::fmt;
 use misp_isa::SyscallKind;
-use serde::{Deserialize, Serialize};
 
 /// The category of an event that requires OS (Ring 0) attention.
 ///
 /// These are exactly the serializing-event categories the paper's Table 1
 /// reports: system calls, page faults, timer interrupts, and the remaining
 /// uncategorized interrupts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OsEventKind {
     /// A trap to the OS requested by the program (system call).
     Syscall,
@@ -53,7 +52,7 @@ impl fmt::Display for OsEventKind {
 }
 
 /// Per-category event counters, used for the OMS and AMS columns of Table 1.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OsEventCounts {
     /// Number of system calls.
     pub syscalls: u64,

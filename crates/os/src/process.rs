@@ -1,11 +1,10 @@
 //! Processes and OS-visible threads.
 
 use misp_types::{OsThreadId, ProcessId};
-use serde::{Deserialize, Serialize};
 
 /// An OS process: a virtual address space plus a name, owning one or more
 /// threads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Process {
     id: ProcessId,
     name: String,
@@ -48,7 +47,7 @@ impl Process {
 
 /// An OS-visible thread: the entity the OS scheduler manages and, under MISP,
 /// the owner of a set of shreds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OsThread {
     id: OsThreadId,
     process: ProcessId,

@@ -1,7 +1,6 @@
 //! Per-CPU round-robin scheduling.
 
 use misp_types::OsThreadId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The run queue of a single OS-visible CPU, scheduled round-robin with a
@@ -9,7 +8,7 @@ use std::collections::VecDeque;
 ///
 /// The currently-running thread is *not* stored in the queue; it is returned
 /// to the back of the queue when it is preempted.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CpuScheduler {
     ready: VecDeque<OsThreadId>,
     running: Option<OsThreadId>,
@@ -67,7 +66,7 @@ impl CpuScheduler {
 /// Scheduling state for a whole machine: one [`CpuScheduler`] per OS-visible
 /// CPU.  Threads are placed in call order, either on an explicit CPU or on
 /// the least-loaded one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemScheduler {
     cpus: Vec<CpuScheduler>,
 }

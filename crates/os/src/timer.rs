@@ -1,7 +1,6 @@
 //! Timer-interrupt configuration.
 
 use misp_types::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of asynchronous interrupt sources on an OS-visible CPU.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(cfg.is_other_interrupt_tick(10));
 /// assert!(!cfg.is_other_interrupt_tick(11));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerConfig {
     interval: Cycles,
     /// Every `other_interrupt_period`-th tick also delivers an uncategorized

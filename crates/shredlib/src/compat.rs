@@ -9,10 +9,8 @@
 //! quantify how mechanically an application's threading-API usage can be
 //! translated.
 
-use serde::Serialize;
-
 /// A legacy threading API family supported by the compatibility layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LegacyApi {
     /// POSIX Threads (`pthread_*`, `sem_*`).
     Pthreads,
@@ -31,7 +29,7 @@ impl LegacyApi {
 }
 
 /// One entry of the thread-to-shred mapping table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MappingEntry {
     /// The API family the legacy function belongs to.
     pub api: LegacyApi,
@@ -372,7 +370,7 @@ static MAPPINGS: &[MappingEntry] = &[
 ];
 
 /// Coverage of one application's legacy API usage by the ShredLib mapping.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CoverageReport {
     /// Functions translated mechanically (header + recompile).
     pub mechanical: Vec<&'static str>,

@@ -4,10 +4,9 @@ use misp_cache::CacheConfig;
 use misp_os::TimerConfig;
 use misp_trace::TraceConfig;
 use misp_types::{CostModel, Cycles};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// The architectural cost model (signal latency, OS service times, …).
     pub costs: CostModel,

@@ -24,16 +24,13 @@ use misp_isa::{Op, ProgramLibrary};
 use misp_os::OsEventKind;
 use misp_trace::{CounterSnapshot, MetricsRecorder, MetricsReport, QueueProfile, TraceReport};
 use misp_types::{ArenaMap, Cycles, MispError, OsThreadId, ProcessId, Result, SequencerId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The outcome of a completed simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// The time at which the last measured process completed.
     pub total_cycles: Cycles,
-    /// Completion time of each measured process (also available inside
-    /// `stats`).
-    pub completions: BTreeMap<u32, Cycles>,
     /// Full statistics for the run.
     pub stats: SimStats,
     /// Deterministic digest of the event log (see
@@ -57,14 +54,6 @@ pub struct SimReport {
     /// Simulator diagnostics, not simulation results — they differ between
     /// batch modes and are never folded into results JSON.
     pub queue: QueueProfile,
-}
-
-impl SimReport {
-    /// Completion time of `process`, if it was measured.
-    #[must_use]
-    pub fn completion_of(&self, process: ProcessId) -> Option<Cycles> {
-        self.completions.get(&process.index()).copied()
-    }
 }
 
 /// Loop-invariant engine parameters passed into every sequencer step, read
@@ -531,15 +520,14 @@ impl<P: Platform> Machine<P> {
         stats.proxy_executions = proxies;
         stats.context_switches = switches;
         let stats = self.core.stats().clone();
-        let completions: BTreeMap<u32, Cycles> = self
+        let total_cycles = self
             .measured_list
             .iter()
-            .filter_map(|p| stats.completion_of(*p).map(|c| (p.index(), c)))
-            .collect();
-        let total_cycles = completions.values().copied().max().unwrap_or(Cycles::ZERO);
+            .filter_map(|p| stats.completion_of(*p))
+            .max()
+            .unwrap_or(Cycles::ZERO);
         SimReport {
             total_cycles,
-            completions,
             stats,
             log_digest: self.core.log().digest(),
             trace: self.core.take_trace().map(|t| t.into_report()),

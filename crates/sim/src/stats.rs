@@ -4,7 +4,6 @@ use misp_cache::CacheStats;
 use misp_mem::TlbStats;
 use misp_os::{OsEventCounts, OsEventKind};
 use misp_types::{Cycles, Histogram, ProcessId, SequencerId};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Request-serving (open-loop scenario) statistics.
@@ -13,7 +12,7 @@ use std::collections::BTreeMap;
 /// request contributes one latency sample (completion cycle minus the
 /// *scheduled* arrival cycle, so generator lag under overload shows up as
 /// latency rather than being silently absorbed — the open-loop discipline).
-#[derive(Debug, Default, Clone, PartialEq, Serialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Requests admitted into the system (shreds created).
     pub admitted: u64,
@@ -46,7 +45,7 @@ impl ServiceStats {
 }
 
 /// Per-sequencer utilization summary.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SeqUtilization {
     /// Cycles spent executing operations.
     pub busy: Cycles,
@@ -62,7 +61,7 @@ pub struct SeqUtilization {
 /// The split between OMS-originated and AMS-originated events mirrors the
 /// column structure of the paper's Table 1; the overhead counters feed the
 /// analytic model used for Figure 5.
-#[derive(Debug, Default, Clone, PartialEq, Serialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct SimStats {
     /// Privileged events that originated on an OS-managed sequencer (or, in
     /// the SMP baseline, on any core).

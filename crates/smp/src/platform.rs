@@ -352,7 +352,7 @@ mod tests {
         for batch in [true, false] {
             let report = run_overlapping_stall(batch);
             assert_eq!(
-                report.completion_of(ProcessId::new(1)),
+                report.stats.completion_of(ProcessId::new(1)),
                 Some(expected),
                 "victim resume time (batch = {batch})"
             );
@@ -366,7 +366,7 @@ mod tests {
         let on = run_overlapping_stall(true);
         let off = run_overlapping_stall(false);
         assert_eq!(on.total_cycles, off.total_cycles);
-        assert_eq!(on.completions, off.completions);
+        assert_eq!(on.stats.process_completion, off.stats.process_completion);
         assert_eq!(on.log_digest, off.log_digest);
     }
 

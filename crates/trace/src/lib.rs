@@ -46,7 +46,6 @@
 use std::collections::BTreeSet;
 
 use misp_types::Fnv64;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the trace ring and interval metrics sampler, embedded in
 /// `misp_sim::SimConfig` as the `trace` field.
@@ -54,7 +53,7 @@ use serde::{Deserialize, Serialize};
 /// The default is fully off: no ring is allocated, no sampler event is ever
 /// scheduled, and every committed golden is byte-identical to a build without
 /// this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Enables the structured trace ring.  When `false` no [`TraceBuffer`]
     /// exists and event recording is a single branch on the hot path.
@@ -360,7 +359,7 @@ pub struct CounterSnapshot {
 /// One interval metrics sample: counter *deltas* since the previous sample
 /// plus instantaneous depth gauges, taken at a deterministic point in the
 /// event queue's total order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalSample {
     /// Simulation time of the sample, in cycles.
     pub t: u64,
@@ -492,7 +491,7 @@ pub struct MetricsReport {
 /// These are *simulator* diagnostics, not simulation results: they are
 /// deterministic for a given configuration but differ between macro-step and
 /// per-op engines, so they live beside — never inside — the results schema.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueProfile {
     /// Queue entries pushed (including superseded-slot replacements; a
     /// tick or stall end that joins a same-instant group entry adds none).

@@ -8,14 +8,13 @@
 //! parameter and every other service cost the simulator charges.
 
 use crate::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// The cost of one inter-sequencer signal, in cycles.
 ///
 /// The paper considers four design points (Figure 5): an ideal zero-cost
 /// hardware implementation, aggressive hardware at 500 and 1000 cycles, and a
 /// conservative microcode-based implementation at 5000 cycles.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalCost {
     /// Ideal hardware: signaling is free (the Figure 5 baseline).
     Ideal,
@@ -77,7 +76,7 @@ impl SignalCost {
 /// assert!(costs.l2_hit < costs.memory);
 /// assert_eq!(CacheCostModel::default(), costs);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheCostModel {
     /// Latency of an access that hits the sequencer's private L1.
     pub l1_hit: Cycles,
@@ -119,7 +118,7 @@ impl Default for CacheCostModel {
 /// assert_eq!(costs.signal.cycles(), Cycles::new(500));
 /// assert_eq!(costs.syscall_service, Cycles::new(2_000));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Latency of one inter-sequencer signal (the `signal` term of Eqs. 1–3).
     pub signal: SignalCost,
@@ -327,13 +326,5 @@ mod tests {
         assert_eq!(m.queue_lock, Cycles::new(10));
         assert_eq!(m.timer_interval, Cycles::new(11));
         assert_eq!(m.signal_cycles(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = CostModel::default();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: CostModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 }

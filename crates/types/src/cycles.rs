@@ -8,7 +8,6 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// An absolute point in simulated time, or a span of simulated time, measured
 /// in clock cycles.
@@ -29,10 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.saturating_sub(a), Cycles::new(150));
 /// assert_eq!(a.saturating_sub(b), Cycles::ZERO);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycles(u64);
 
 /// A span of simulated time.  Alias of [`Cycles`] kept for readability at call
@@ -253,12 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn display_and_serde() {
+    fn display() {
         assert_eq!(Cycles::new(12).to_string(), "12 cycles");
-        let json = serde_json::to_string(&Cycles::new(99)).unwrap();
-        assert_eq!(json, "99");
-        let back: Cycles = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, Cycles::new(99));
     }
 
     #[test]

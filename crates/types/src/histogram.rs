@@ -9,12 +9,11 @@
 //!   any committed value);
 //! * HDR-style buckets — exact below 64, then 32 linear sub-buckets per
 //!   power of two (≈3% relative resolution) — stored sparsely in a
-//!   [`BTreeMap`] so serialization order is defined;
+//!   [`BTreeMap`] so iteration order is defined;
 //! * a commutative, associative [`Histogram::merge`], so folding partial
 //!   histograms in any order produces identical results (the property the
 //!   parallel sweep harness and its proptest rely on).
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Number of linear sub-buckets per power of two above the exact range.
@@ -40,7 +39,7 @@ const EXACT_LIMIT: u64 = 2 * SUB_BUCKETS;
 /// assert!((48_000..=55_000).contains(&p50), "{p50}");
 /// assert_eq!(h.value_at_quantile(100, 100), h.max());
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Sample count per bucket index; absent buckets are empty.
     buckets: BTreeMap<u32, u64>,

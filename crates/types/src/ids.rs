@@ -5,7 +5,6 @@
 //! newtype so the compiler keeps them from being confused with one another.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Number of low-order bits in a virtual address that index into a page
 /// (4 KiB pages, matching IA-32 default page size).
@@ -17,11 +16,7 @@ pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-            Serialize, Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u32);
 
         impl $name {
@@ -111,10 +106,7 @@ id_type!(
 );
 
 /// A virtual memory page number within a process address space.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(u64);
 
 impl PageId {
@@ -163,10 +155,7 @@ impl From<u64> for PageId {
 /// assert_eq!(addr.page(), PageId::new(3));
 /// assert_eq!(addr.offset(PAGE_SIZE).page(), PageId::new(4));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtAddr(u64);
 
 impl VirtAddr {
@@ -266,13 +255,5 @@ mod tests {
     fn page_id_display_and_conversion() {
         assert_eq!(PageId::from(16u64).number(), 16);
         assert_eq!(PageId::new(16).to_string(), "PAGE0x10");
-    }
-
-    #[test]
-    fn serde_transparency() {
-        let json = serde_json::to_string(&SequencerId::new(7)).unwrap();
-        assert_eq!(json, "7");
-        let back: SequencerId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, SequencerId::new(7));
     }
 }

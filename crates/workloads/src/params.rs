@@ -1,11 +1,10 @@
 //! Workload parameterization.
 
 use misp_mem::AccessPattern;
-use serde::{Deserialize, Serialize};
 
 /// The benchmark suite a workload belongs to (the grouping used by Table 1 and
 /// Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// Recognition-Mining-Synthesis kernels and the RayTracer application.
     Rms,
@@ -32,7 +31,7 @@ impl Suite {
 /// each loop iteration performs afterwards.  With the cache model disabled
 /// (the default) the profiles differ only in their TLB/page behaviour; with
 /// it enabled they separate into distinct miss regimes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LocalityProfile {
     /// The original calibration behaviour: revisit one already-resident page
     /// per iteration.  This is the default and is what every paper workload
@@ -72,7 +71,7 @@ pub enum LocalityProfile {
 /// simulates in seconds; the *ratios* between parameters — serial fraction,
 /// faults per unit of compute, syscall rate — are what carry over from the
 /// paper's Table 1 event profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadParams {
     /// Total compute work in cycles (serial + parallel portions together).
     pub total_work: u64,

@@ -475,7 +475,7 @@ mod tests {
         );
         // Only the application is measured, so exactly one completion is
         // reported even though three processes ran.
-        assert_eq!(loaded.completions.len(), 1);
+        assert_eq!(loaded.stats.process_completion.len(), 1);
     }
 
     #[test]

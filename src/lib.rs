@@ -23,7 +23,7 @@
 //! | [`smp`] | `misp-smp` | the SMP baseline machine |
 //! | [`shredlib`] | `shredlib` | the gang scheduler, synchronization objects, compatibility shims |
 //! | [`workloads`] | `misp-workloads` | the benchmark catalog and run helpers |
-//! | [`harness`] | `misp-harness` | the parallel experiment-sweep harness: declarative grids, work-stealing fan-out, versioned results JSON |
+//! | [`harness`] | `misp-harness` | the parallel experiment-sweep harness: declarative grids, shared-counter fan-out, versioned results JSON |
 //!
 //! # Quick start
 //!

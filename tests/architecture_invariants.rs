@@ -345,3 +345,74 @@ fn every_crate_opts_into_the_workspace_lints() {
         }
     }
 }
+
+/// Every `.rs` file under `dir`, recursively, in path order.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The one production JSON is the harness's results schema with its
+/// metrics and trace sidecars, so only `misp-harness` and `misp-bench` name
+/// serde in library code, plus the `Serialize` derive on
+/// `misp_cache::CacheStats`, the one foreign type the schema embeds.  The
+/// engine crates keep `serde` in `[dependencies]` until a benchmark change
+/// re-locks `perf/`, so a re-added derive would still compile; this test
+/// is what catches it.  Each file is read up to its first `#[cfg(test)]`;
+/// comment lines are skipped.
+#[test]
+fn only_the_results_schema_uses_serde() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let cache_stats_file = root.join("cache/src/hierarchy.rs");
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut scanned = 0;
+    let mut offenders = Vec::new();
+    for entry in std::fs::read_dir(&root).expect("crates/ is readable") {
+        let krate = entry.expect("directory entry").path();
+        if !krate.is_dir() || krate.ends_with("harness") || krate.ends_with("bench") {
+            continue;
+        }
+        for file in rust_files(&krate.join("src")) {
+            scanned += 1;
+            let text = std::fs::read_to_string(&file).expect("source is readable");
+            let lines: Vec<&str> = text
+                .lines()
+                .take_while(|line| !line.starts_with("#[cfg(test)]"))
+                .collect();
+            for (index, line) in lines.iter().enumerate() {
+                let code = line.trim();
+                if code.starts_with("//") {
+                    continue;
+                }
+                let names_serde = code
+                    .split(|c: char| !is_ident(c))
+                    .any(|token| matches!(token, "serde" | "Serialize" | "Deserialize"));
+                let derives_cache_stats = code.starts_with("#[derive(")
+                    && lines.get(index + 1).map(|l| l.trim()) == Some("pub struct CacheStats {");
+                let cache_stats = file == cache_stats_file
+                    && (code == "use serde::Serialize;" || derives_cache_stats);
+                if names_serde && !cache_stats {
+                    offenders.push(format!("{}:{}: {code}", file.display(), index + 1));
+                }
+            }
+        }
+    }
+    assert!(scanned >= 50, "scanned only {scanned} files");
+    assert!(
+        offenders.is_empty(),
+        "serde outside the results schema:\n{}",
+        offenders.join("\n")
+    );
+}

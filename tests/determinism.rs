@@ -27,7 +27,10 @@ fn quick_config() -> SimConfig {
 /// statistic, per-sequencer utilization, and the event-log digest.
 fn assert_reports_identical(a: &SimReport, b: &SimReport, context: &str) {
     assert_eq!(a.total_cycles, b.total_cycles, "{context}: total cycles");
-    assert_eq!(a.completions, b.completions, "{context}: completions");
+    assert_eq!(
+        a.stats.process_completion, b.stats.process_completion,
+        "{context}: completions"
+    );
     assert_eq!(a.log_digest, b.log_digest, "{context}: event-log digest");
     assert_eq!(
         a.stats.oms_events, b.stats.oms_events,

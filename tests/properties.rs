@@ -66,7 +66,10 @@ fn quick_config() -> SimConfig {
 /// completion times, the full statistics block and the event-log digest.
 fn assert_identical(a: &misp::sim::SimReport, b: &misp::sim::SimReport, context: &str) {
     assert_eq!(a.total_cycles, b.total_cycles, "{context}: total cycles");
-    assert_eq!(a.completions, b.completions, "{context}: completions");
+    assert_eq!(
+        a.stats.process_completion, b.stats.process_completion,
+        "{context}: completions"
+    );
     assert_eq!(a.stats, b.stats, "{context}: statistics");
     assert_eq!(a.log_digest, b.log_digest, "{context}: log digest");
 }
@@ -312,7 +315,7 @@ proptest! {
             let on = run4(&w, machine.clone(), batched);
             let off = run4(&w, machine, reference);
             prop_assert_eq!(on.total_cycles, off.total_cycles);
-            prop_assert_eq!(&on.completions, &off.completions);
+            prop_assert_eq!(&on.stats.process_completion, &off.stats.process_completion);
             prop_assert_eq!(&on.stats, &off.stats);
             prop_assert_eq!(on.log_digest, off.log_digest);
             prop_assert_eq!(on.trace.is_some(), traced);

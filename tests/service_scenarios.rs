@@ -8,7 +8,7 @@ use misp::harness::{grids, run_grid, SweepOptions, VerifyMode};
 use misp::isa::{Op, ProgramBuilder, ProgramLibrary, ShredProgram};
 use misp::os::TimerConfig;
 use misp::shredlib::GangScheduler;
-use misp::sim::{SimConfig, SimReport, TraceConfig};
+use misp::sim::{SimConfig, SimReport, SimStats, TraceConfig};
 use misp::smp::SmpMachine;
 use misp::types::{Cycles, Histogram};
 use misp::workloads::scenario::{self, RequestStream, Scenario};
@@ -227,12 +227,13 @@ fn run_on(smp: bool, library: ProgramLibrary, scheduler: GangScheduler) -> SimRe
 }
 
 /// Everything a run reports that a golden or digest could pin: the stats
-/// as JSON, the completion times, the event-log digest and the trace.
-fn fingerprint(report: &SimReport) -> (String, String, u64, u64, u64) {
+/// (completion times included), the total, the event-log digest and the
+/// trace.
+fn fingerprint(report: &SimReport) -> (SimStats, Cycles, u64, u64, u64) {
     let trace = report.trace.as_ref().expect("tracing is on");
     (
-        serde_json::to_string(&report.stats).unwrap(),
-        format!("{:?} {:?}", report.total_cycles, report.completions),
+        report.stats.clone(),
+        report.total_cycles,
         report.log_digest,
         trace.digest,
         trace.dropped,

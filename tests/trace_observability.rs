@@ -121,7 +121,10 @@ fn observers_leave_results_identical() {
     let traced = run(quick_config(true, 5_000));
     assert_eq!(plain.total_cycles, traced.total_cycles);
     assert_eq!(plain.log_digest, traced.log_digest);
-    assert_eq!(plain.completions, traced.completions);
+    assert_eq!(
+        plain.stats.process_completion,
+        traced.stats.process_completion
+    );
     assert_eq!(plain.stats, traced.stats);
     assert!(plain.trace.is_none() && plain.metrics.is_none());
     assert!(traced.trace.is_some() && traced.metrics.is_some());
