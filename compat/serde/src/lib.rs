@@ -19,7 +19,7 @@
 //!   objects in declaration order; see `serde_derive`.
 //!
 //! To switch to real serde, point the `serde`, `serde_json` and the dev-only
-//! `proptest`/`criterion` entries of `[workspace.dependencies]` at crates.io.
+//! `proptest` entries of `[workspace.dependencies]` at crates.io.
 
 #![forbid(unsafe_code)]
 

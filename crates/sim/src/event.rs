@@ -610,8 +610,8 @@ impl EventQueue {
     /// These describe the *simulator's* data structure, not the simulation:
     /// they are deterministic for a fixed configuration but differ between
     /// the macro-step and event-per-operation engines, so they are surfaced
-    /// via `sweep --profile` and the engine bench rather than the results
-    /// schema.
+    /// via `sweep --profile` and `perf`'s `queue.*` metrics rather than the
+    /// results schema.
     #[must_use]
     pub fn profile(&self) -> QueueProfile {
         self.profile

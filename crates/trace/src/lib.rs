@@ -17,7 +17,8 @@
 //!   byte-identical at any harness thread count.
 //! - [`QueueProfile`] — radix-heap self-profiling counters (pushes, pops,
 //!   high-water occupancy, bucket redistributions, superseded-slot
-//!   replacements), surfaced via `sweep --profile` and the engine bench.
+//!   replacements), surfaced via `sweep --profile` and `perf`'s `queue.*`
+//!   metrics.
 //! - [`chrome_trace_json`] — a Chrome-trace/Perfetto JSON exporter rendering
 //!   one track per sequencer with per-lane B/E spans, so a fig4 run can be
 //!   opened in [ui.perfetto.dev](https://ui.perfetto.dev) or

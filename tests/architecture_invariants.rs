@@ -365,13 +365,13 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// The one production JSON is the harness's results schema with its
-/// metrics and trace sidecars, so only `misp-harness` and `misp-bench` name
-/// serde in library code, plus the `Serialize` derive on
-/// `misp_cache::CacheStats`, the one foreign type the schema embeds.  The
-/// engine crates keep `serde` in `[dependencies]` until a benchmark change
-/// re-locks `perf/`, so a re-added derive would still compile; this test
-/// is what catches it.  Each file is read up to its first `#[cfg(test)]`;
-/// comment lines are skipped.
+/// metrics and trace sidecars, so only `misp-harness` names serde in
+/// library code, plus the `Serialize` derive on `misp_cache::CacheStats`,
+/// the one foreign type the schema embeds.  The engine crates keep `serde`
+/// in `[dependencies]` until a benchmark change re-locks `perf/`, so a
+/// re-added derive would still compile; this test is what catches it.
+/// Each file is read up to its first `#[cfg(test)]`; comment lines are
+/// skipped.
 #[test]
 fn only_the_results_schema_uses_serde() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates");
@@ -381,7 +381,7 @@ fn only_the_results_schema_uses_serde() {
     let mut offenders = Vec::new();
     for entry in std::fs::read_dir(&root).expect("crates/ is readable") {
         let krate = entry.expect("directory entry").path();
-        if !krate.is_dir() || krate.ends_with("harness") || krate.ends_with("bench") {
+        if !krate.is_dir() || krate.ends_with("harness") {
             continue;
         }
         for file in rust_files(&krate.join("src")) {
